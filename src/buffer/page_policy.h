@@ -2,12 +2,11 @@
 //
 // Buffer side of the policy seam (DESIGN.md §13): a PagePolicy decides how
 // the pool treats pages — which replacement policy backs a pool, and what
-// release priority a scan attaches to the pages it has processed. It
-// generalizes the fixed PagePriorityAdvisor + PriorityLruReplacer pairing
-// the SSM hard-wired before: the default implementation reproduces that
-// pairing decision-for-decision, ABM keeps pages with waiting consumers,
-// and PBM ignores hints entirely and predicts next consumption inside its
-// replacer.
+// release priority a scan attaches to the pages it has processed. The
+// default implementation is the paper's pairing of leader/trailer release
+// hints with a priority-segmented LRU (DefaultPagePolicy), ABM keeps pages
+// with waiting consumers, and PBM ignores hints entirely and predicts next
+// consumption inside its replacer.
 //
 // The interface is deliberately SSM-type-free: the SSM condenses a scan's
 // group role into a ReleaseContext, so the buffer layer never learns about

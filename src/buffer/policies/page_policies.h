@@ -15,10 +15,12 @@
 namespace scanshare::buffer {
 
 /// The paper's pairing: priority-segmented LRU honouring the
-/// leader/trailer release hints. ReleasePriority reproduces the seed's
-/// PagePriorityAdvisor decision-for-decision (trailer Low only once its
-/// successor cleared the working chunk), so the default path is
-/// bit-identical to the pre-seam engine.
+/// leader/trailer release hints (paper §7.3). Members with followers
+/// behind them release High. The trailer releases Low, but only once the
+/// member right ahead of it has cleared the trailer's working chunk: a
+/// scan releases the pages it is processing, which lie at its reported
+/// position, so co-located scans would otherwise mark each other's pending
+/// pages for eviction and thrash.
 class DefaultPagePolicy final : public PagePolicy {
  public:
   const char* name() const override {

@@ -176,35 +176,12 @@ Aggregator::GroupState& Aggregator::HotGroup(const uint8_t* tuple) {
   return g;
 }
 
-void Aggregator::ConsumeHot(const uint8_t* tuple) {
-  GroupState& g = HotGroup(tuple);
-  ++g.rows;
-  for (size_t i = 0; i < hot_aggs_.size(); ++i) {
-    switch (hot_aggs_[i].op) {
-      case AggOp::kCount:
-        ++g.cnt[i];
-        break;
-      case AggOp::kSum:
-      case AggOp::kAvg:
-        g.acc[i] += hot_aggs_[i].expr.Eval(tuple);
-        ++g.cnt[i];
-        break;
-      case AggOp::kMin:
-        g.acc[i] = std::min(g.acc[i], hot_aggs_[i].expr.Eval(tuple));
-        break;
-      case AggOp::kMax:
-        g.acc[i] = std::max(g.acc[i], hot_aggs_[i].expr.Eval(tuple));
-        break;
-    }
-  }
-}
-
 void Aggregator::ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
                               size_t n) {
   if (n == 0) return;
   // Phase 1: compact the selection. Folding over the compacted array
   // visits exactly the selected slots in slot order — the same sequence
-  // the tuple-at-a-time loop feeds each accumulator — while letting the
+  // a Consume loop feeds each accumulator — while letting the
   // expression passes below run dense (no wasted lanes under a selective
   // predicate, no per-lane branch in the folds).
   batch_selected_.clear();
@@ -232,7 +209,7 @@ void Aggregator::ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
     }
   }
   // Phase 3: fold in slot order. Each accumulator receives exactly the
-  // value sequence the tuple-at-a-time loop would have fed it, so the
+  // value sequence a Consume loop would have fed it, so the
   // floating-point result is bit-identical.
   if (group_by_offsets_.empty()) {
     GroupState& g = HotGroup(nullptr);

@@ -60,7 +60,8 @@ struct QueryOutput {
   const GroupResult* FindGroup(const std::string& key) const;
 };
 
-/// Streaming aggregator fed one tuple at a time by the scan operator.
+/// Streaming aggregator: the scan operator feeds it page batches through
+/// ConsumeBatch; Consume is the tuple-at-a-time reference fold.
 class Aggregator {
  public:
   /// `group_by` lists zero or more char columns forming the group key.
@@ -81,24 +82,20 @@ class Aggregator {
   void Consume(const storage::Schema& schema, const uint8_t* tuple);
 
   /// Lowers the aggregate expressions to CompiledExpr programs and hoists
-  /// the group-by byte offsets so ConsumeHot can fold tuples without any
+  /// the group-by byte offsets so ConsumeBatch can fold tuples without any
   /// schema lookups or per-tuple key-string construction. Requires a
   /// successful Bind against the same schema. The folded state is shared
   /// with Consume, so the two entry points may be mixed freely and Finish
   /// output is identical either way.
   Status PrepareHot(const storage::Schema& schema);
 
-  /// Folds one (predicate-passing) tuple via the compiled path.
-  /// Requires a successful PrepareHot.
-  void ConsumeHot(const uint8_t* tuple);
-
   /// Folds a whole page batch via the columnar path: every tuple s in
-  /// [0, n) with sel[s] != 0 is folded exactly as ConsumeHot would fold
-  /// it, in slot order. The aggregate input expressions are evaluated
-  /// over the full batch first (dense vectorizable passes); the fold then
-  /// feeds each accumulator the same values in the same order as the
-  /// tuple-at-a-time loop, so Finish output is bit-identical — including
-  /// floating-point rounding. Requires a successful PrepareHot.
+  /// [0, n) with sel[s] != 0 is folded exactly as Consume would fold it,
+  /// in slot order. The aggregate input expressions are evaluated over the
+  /// full batch first (dense vectorizable passes); the fold then feeds
+  /// each accumulator the same values in the same order as the
+  /// tuple-at-a-time Consume loop, so Finish output is bit-identical —
+  /// including floating-point rounding. Requires a successful PrepareHot.
   void ConsumeBatch(const uint8_t* const* tuples, const uint8_t* sel,
                     size_t n);
 

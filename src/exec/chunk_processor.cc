@@ -27,23 +27,21 @@ void ChunkProcessor::SetQueryCosts(size_t predicate_atoms, size_t num_aggs,
   per_match_ns_ = static_cast<double>(num_aggs) * cost_->agg_ns;
 }
 
-void ChunkProcessor::PrepareHot() {
-  hot_prepared_ = true;
+Status ChunkProcessor::PrepareHot() {
   const storage::Schema& schema = table_->schema;
   if (!predicate_->empty()) {
-    StatusOr<CompiledPredicate> compiled = predicate_->Compile(schema);
-    if (!compiled.ok()) return;
-    compiled_pred_ = std::move(compiled).value();
+    SCANSHARE_ASSIGN_OR_RETURN(compiled_pred_, predicate_->Compile(schema));
   }
-  if (!aggregator_->PrepareHot(schema).ok()) return;
-  hot_ok_ = true;
+  SCANSHARE_RETURN_IF_ERROR(aggregator_->PrepareHot(schema));
+  hot_prepared_ = true;
+  return Status::OK();
 }
 
 StatusOr<sim::Micros> ChunkProcessor::ProcessRange(sim::PageId first,
                                                    sim::PageId end,
                                                    sim::Micros now,
                                                    buffer::PagePriority priority) {
-  if (!hot_prepared_) PrepareHot();
+  if (!hot_prepared_) SCANSHARE_RETURN_IF_ERROR(PrepareHot());
 
   double cpu_us = 0.0;
   double ovh_us = 0.0;
@@ -77,55 +75,26 @@ StatusOr<sim::Micros> ChunkProcessor::ProcessRange(sim::PageId first,
                                 " failed validation");
     }
     const uint16_t count = view.tuple_count();
+    // Columnar kernel: materialize the page's tuple pointers once, run the
+    // predicate as dense compare-and-mask passes into a selection array,
+    // then fold the selected tuples in slot order — the fold order of the
+    // tree interpreter, so results are bit-identical to it.
+    batch_tuples_.resize(count);
+    for (uint16_t slot = 0; slot < count; ++slot) {
+      batch_tuples_[slot] = view.TupleDataUnchecked(slot);
+    }
+    batch_sel_.resize(count);
     uint64_t matched = 0;
-    if (hot_ok_ && kernel_ == KernelMode::kColumnar) {
-      // Columnar path: materialize the page's tuple pointers once, run the
-      // predicate as dense compare-and-mask passes into a selection array,
-      // then fold the selected tuples in slot order — the same fold order
-      // as the scalar path, so results are bit-identical.
-      batch_tuples_.resize(count);
-      for (uint16_t slot = 0; slot < count; ++slot) {
-        batch_tuples_[slot] = view.TupleDataUnchecked(slot);
-      }
-      batch_sel_.resize(count);
-      if (compiled_pred_.empty()) {
-        std::fill(batch_sel_.begin(), batch_sel_.end(), uint8_t{1});
-        matched = count;
-      } else {
-        compiled_pred_.MatchBatch(batch_tuples_.data(), count,
-                                  batch_sel_.data());
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          matched += static_cast<uint64_t>(batch_sel_[slot]);
-        }
-      }
-      aggregator_->ConsumeBatch(batch_tuples_.data(), batch_sel_.data(), count);
-    } else if (hot_ok_) {
-      // Compiled path: one tight loop over the page's tuples with hoisted
-      // byte offsets — no virtual dispatch, no schema lookups.
-      if (compiled_pred_.empty()) {
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          aggregator_->ConsumeHot(view.TupleDataUnchecked(slot));
-        }
-        matched = count;
-      } else {
-        for (uint16_t slot = 0; slot < count; ++slot) {
-          const uint8_t* tuple = view.TupleDataUnchecked(slot);
-          if (compiled_pred_.Match(tuple)) {
-            aggregator_->ConsumeHot(tuple);
-            ++matched;
-          }
-        }
-      }
+    if (compiled_pred_.empty()) {
+      std::fill(batch_sel_.begin(), batch_sel_.end(), uint8_t{1});
+      matched = count;
     } else {
-      const storage::Schema& schema = table_->schema;
+      compiled_pred_.MatchBatch(batch_tuples_.data(), count, batch_sel_.data());
       for (uint16_t slot = 0; slot < count; ++slot) {
-        const uint8_t* tuple = view.TupleDataUnchecked(slot);
-        if (predicate_->empty() || predicate_->Eval(schema, tuple)) {
-          aggregator_->Consume(schema, tuple);
-          ++matched;
-        }
+        matched += static_cast<uint64_t>(batch_sel_[slot]);
       }
     }
+    aggregator_->ConsumeBatch(batch_tuples_.data(), batch_sel_.data(), count);
     tuples += count;
     matches += matched;
     cpu_us += cost_->page_cpu_us +

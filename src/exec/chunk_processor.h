@@ -34,24 +34,20 @@ class ChunkProcessor {
   void SetQueryCosts(size_t predicate_atoms, size_t num_aggs,
                      double per_tuple_extra_ns);
 
-  /// Selects the compiled tuple kernel (default kColumnar). The virtual
-  /// cost model is kernel-independent — only host wall-clock changes.
-  void SetKernelMode(KernelMode mode) { kernel_ = mode; }
-
   /// Processes pages [first, end) starting at virtual time `now`,
   /// releasing each with `priority`. Returns elapsed virtual micros and
   /// updates the bound ScanMetrics once per call (per extent chunk), not
-  /// per page.
+  /// per page. The first call compiles the predicate and aggregates and
+  /// returns that step's error (e.g. an unbound query) if it fails.
   StatusOr<sim::Micros> ProcessRange(sim::PageId first, sim::PageId end,
                                      sim::Micros now,
                                      buffer::PagePriority priority);
 
  private:
   /// Compiles the predicate and aggregator to their offset-hoisted forms
-  /// (done lazily on the first ProcessRange). If compilation is not
-  /// possible the processor permanently falls back to the interpreted
-  /// per-tuple path; results are identical either way.
-  void PrepareHot();
+  /// (done lazily on the first ProcessRange). Both must already be bound
+  /// to the table's schema.
+  Status PrepareHot();
 
   buffer::PageSource* pool_;
   const storage::TableInfo* table_;
@@ -62,11 +58,9 @@ class ChunkProcessor {
   double per_tuple_ns_ = 0.0;
   double per_match_ns_ = 0.0;
 
-  // Compiled fast path (PrepareHot):
+  // Compiled kernel (PrepareHot):
   CompiledPredicate compiled_pred_;
   bool hot_prepared_ = false;
-  bool hot_ok_ = false;
-  KernelMode kernel_ = KernelMode::kColumnar;
 
   // Columnar kernel scratch, reused across pages: materialized tuple
   // pointers and the per-slot selection flags.

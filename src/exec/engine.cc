@@ -129,7 +129,7 @@ StatusOr<RunResult> Database::Run(const RunConfig& config,
 
   StreamExecutor executor(&env_, &pool, &catalog_, shared ? &ssm : nullptr,
                           shared ? &ism : nullptr, config.cost, config.mode,
-                          config.kernel, tracer.get());
+                          KernelMode::kColumnar, tracer.get());
   // Attach even when prefetch_depth is 0 (the sync-file arm): pumping a
   // depth-0 window issues nothing, and the attachment is what routes the
   // pipeline/backend counters into RunResult::io / RunResult::real_io.

@@ -101,8 +101,7 @@ struct RunConfig {
   /// CPU cost model.
   CostModel cost;
 
-  /// Compiled tuple kernel for the scan fast path. Purely a host-speed
-  /// knob: both kernels produce bit-identical RunResults.
+  /// Unused: kept only because the benchmark harness (scanbench/) sets it.
   KernelMode kernel = KernelMode::kColumnar;
 
   /// Push I/O pipeline: backend selection and per-group prefetch window.

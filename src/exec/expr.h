@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +19,7 @@ namespace scanshare::exec {
 class Expr;
 
 /// A flattened, schema-resolved expression: a postfix program over hoisted
-/// byte offsets. This is what the scan inner loop evaluates per tuple —
+/// byte offsets. This is what the scan inner loop evaluates per page batch —
 /// no tree walk, no schema lookups, no string touches. Produced by
 /// Expr::Compile; evaluation order (and therefore floating-point rounding)
 /// is identical to the tree walker's left-to-right recursion.
@@ -28,45 +27,14 @@ class CompiledExpr {
  public:
   CompiledExpr() = default;
 
-  /// Evaluates against one encoded tuple.
-  double Eval(const uint8_t* tuple) const {
-    // Single-instruction programs (a bare column or constant) are the
-    // common case for aggregates; skip the stack machine entirely.
-    const Inst* inst = code_.data();
-    if (code_.size() == 1) return Leaf(*inst, tuple);
-    double stack[kMaxStack];
-    size_t sp = 0;
-    for (size_t i = 0; i < code_.size(); ++i, ++inst) {
-      switch (inst->op) {
-        case OpCode::kColumnI64:
-        case OpCode::kColumnF64:
-        case OpCode::kConst:
-          stack[sp++] = Leaf(*inst, tuple);
-          break;
-        case OpCode::kAdd:
-          stack[sp - 2] = stack[sp - 2] + stack[sp - 1];
-          --sp;
-          break;
-        case OpCode::kSub:
-          stack[sp - 2] = stack[sp - 2] - stack[sp - 1];
-          --sp;
-          break;
-        case OpCode::kMul:
-          stack[sp - 2] = stack[sp - 2] * stack[sp - 1];
-          --sp;
-          break;
-      }
-    }
-    return stack[0];
-  }
-
   /// Evaluates the program for a whole batch of tuples at once:
-  /// out[i] = Eval(tuples[i]) for i in [0, n). `stack` must hold at least
-  /// max_stack_depth() * n doubles. The per-lane instruction order matches
-  /// Eval exactly, so every lane's result is bit-identical to the scalar
-  /// path — the batch form only changes the loop nesting (instruction
-  /// outermost, lanes innermost) so the arithmetic passes run over
-  /// contiguous arrays the compiler can vectorize.
+  /// out[i] = Expr::Eval(schema, tuples[i]) for i in [0, n). `stack` must
+  /// hold at least max_stack_depth() * n doubles; any depth works. Each
+  /// lane performs the tree walker's operations in the same order, so
+  /// every result is bit-identical to it — the batch form only changes the
+  /// loop nesting (instruction outermost, lanes innermost) so the
+  /// arithmetic passes run over contiguous arrays the compiler can
+  /// vectorize.
   void EvalBatch(const uint8_t* const* tuples, size_t n, double* out,
                  double* stack) const;
 
@@ -79,10 +47,6 @@ class CompiledExpr {
  private:
   friend class Expr;
 
-  /// Deep enough for any realistic aggregate expression; Compile rejects
-  /// programs that would exceed it.
-  static constexpr size_t kMaxStack = 32;
-
   enum class OpCode : uint8_t { kColumnI64, kColumnF64, kConst, kAdd, kSub, kMul };
 
   struct Inst {
@@ -90,23 +54,6 @@ class CompiledExpr {
     uint32_t offset = 0;  // Column byte offset within the tuple.
     double value = 0.0;   // kConst payload.
   };
-
-  static double Leaf(const Inst& inst, const uint8_t* tuple) {
-    switch (inst.op) {
-      case OpCode::kColumnI64: {
-        int64_t v;
-        std::memcpy(&v, tuple + inst.offset, sizeof(v));
-        return static_cast<double>(v);
-      }
-      case OpCode::kColumnF64: {
-        double v;
-        std::memcpy(&v, tuple + inst.offset, sizeof(v));
-        return v;
-      }
-      default:
-        return inst.value;
-    }
-  }
 
   std::vector<Inst> code_;
   size_t max_depth_ = 0;
@@ -154,7 +101,7 @@ class Expr {
   Expr(Kind kind) : kind_(kind) {}
 
   /// Appends this subtree's postfix instructions to `out`, tracking the
-  /// evaluation stack depth so Compile can bound it.
+  /// evaluation stack depth EvalBatch will need.
   Status EmitPostfix(const storage::Schema& schema, CompiledExpr* out,
                      size_t* depth, size_t* max_depth) const;
 

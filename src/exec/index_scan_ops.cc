@@ -42,7 +42,6 @@ class IndexScanBase : public ScanCursor {
                                                &metrics_);
     chunks_->SetQueryCosts(query_.predicate.size(), query_.aggs.size(),
                            query_.per_tuple_extra_ns);
-    chunks_->SetKernelMode(env_.base.kernel);
 
     ResolveIndexRange(*env_.index, query_, &key_lo_, &key_hi_);
     sequence_ = env_.index->BlockSequence(key_lo_, key_hi_);

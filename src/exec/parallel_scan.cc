@@ -185,7 +185,6 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
                           &worker_metrics[w]);
     chunks.SetQueryCosts(spec.predicate.size(), spec.aggs.size(),
                          spec.per_tuple_extra_ns);
-    chunks.SetKernelMode(config.kernel);
     for (uint64_t pull = next_pull.fetch_add(1); pull < num_morsels;
          pull = next_pull.fetch_add(1)) {
       if (failed.load(std::memory_order_relaxed)) return;

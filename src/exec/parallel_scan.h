@@ -74,7 +74,7 @@ struct ParallelQueryResult {
 /// Executes one table-scan aggregation query with `options.jobs` workers
 /// over a fresh PartitionedBufferPool, from a cold cache. Supports
 /// AccessPath::kTableScan only (NotSupported otherwise). `config` supplies
-/// the pool geometry, replacement policy family, cost model, kernel, SSM
+/// the pool geometry, replacement policy family, cost model, SSM
 /// options, and tracing — the same knobs Database::Run reads.
 [[nodiscard]] StatusOr<ParallelQueryResult> RunQueryParallel(
     Database* db, const RunConfig& config, const QuerySpec& query,

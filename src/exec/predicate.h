@@ -31,27 +31,19 @@ struct PredicateAtom {
 };
 
 /// A schema-resolved predicate with hoisted byte offsets: what the scan
-/// inner loop evaluates per tuple, with no schema lookups and no per-atom
-/// string touches. Produced by Predicate::Compile; decision-identical to
-/// Predicate::Eval on every tuple.
+/// inner loop evaluates per page batch, with no schema lookups and no
+/// per-atom string touches. Produced by Predicate::Compile;
+/// decision-identical to Predicate::Eval on every tuple.
 class CompiledPredicate {
  public:
   CompiledPredicate() = default;
 
-  /// Evaluates against one encoded tuple.
-  bool Match(const uint8_t* tuple) const {
-    for (const Atom& atom : atoms_) {
-      if (!atom.Match(tuple)) return false;
-    }
-    return true;
-  }
-
   /// Evaluates the conjunction for a whole batch of tuples at once:
-  /// sel[i] = Match(tuples[i]) ? 1 : 0 for i in [0, n). Branch-free per
-  /// numeric atom — each conjunct is one dense compare-and-mask pass over
-  /// the selection array that the compiler vectorizes. Decision-identical
-  /// to Match on every tuple (conjunction over the same atoms; order
-  /// cannot change the result of a pure AND).
+  /// sel[i] = Predicate::Eval(schema, tuples[i]) ? 1 : 0 for i in [0, n).
+  /// Branch-free per numeric atom — each conjunct is one dense
+  /// compare-and-mask pass over the selection array that the compiler
+  /// vectorizes. Decision-identical to Eval on every tuple (conjunction
+  /// over the same atoms; order cannot change the result of a pure AND).
   void MatchBatch(const uint8_t* const* tuples, size_t n, uint8_t* sel) const;
 
   /// True if this predicate accepts every row.

@@ -35,13 +35,9 @@ struct CostModel {
   double ssm_call_us = 5.0;
 };
 
-/// Which tuple kernel the compiled scan fast path uses. Both produce
-/// bit-identical results (enforced by properties_test); the columnar form
-/// exists purely for wall-clock speed.
-enum class KernelMode {
-  kScalar,    ///< Tuple-at-a-time loop with hoisted offsets.
-  kColumnar,  ///< Branch-free columnar selection + batched folds (SIMD).
-};
+/// The scan's tuple kernel. Columnar is the only one; the name survives
+/// only because the benchmark harness (scanbench/) still spells it.
+enum class KernelMode { kColumnar };
 
 /// How a query reads its table.
 enum class AccessPath {

@@ -36,7 +36,6 @@ class ScanOpBase : public ScanCursor {
                                                &metrics_);
     chunks_->SetQueryCosts(query_.predicate.size(), query_.aggs.size(),
                            query_.per_tuple_extra_ns);
-    chunks_->SetKernelMode(env_.kernel);
     return Status::OK();
   }
 

@@ -39,8 +39,6 @@ struct ScanEnv {
   const sim::DiskOptions* disk_options = nullptr;
   /// Null for baseline scans; set for shared scans.
   ssm::ScanSharingManager* ssm = nullptr;
-  /// Tuple kernel for the compiled fast path.
-  KernelMode kernel = KernelMode::kColumnar;
   /// Borrowed event tracer (null = tracing disabled). Scan operators emit
   /// throttle-release events; the SSM/pool/disk emit the rest themselves.
   obs::Tracer* tracer = nullptr;

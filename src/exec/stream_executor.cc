@@ -11,7 +11,7 @@ StreamExecutor::StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
                                ssm::ScanSharingManager* ssm,
                                ssm::IndexScanSharingManager* ism,
                                const CostModel& cost, ScanMode mode,
-                               KernelMode kernel, obs::Tracer* tracer)
+                               KernelMode, obs::Tracer* tracer)
     : env_(env),
       pool_(pool),
       catalog_(catalog),
@@ -19,7 +19,6 @@ StreamExecutor::StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
       ism_(ism),
       cost_(cost),
       mode_(mode),
-      kernel_(kernel),
       tracer_(tracer) {}
 
 StatusOr<RunResult> StreamExecutor::Run(const std::vector<StreamSpec>& streams,
@@ -79,7 +78,6 @@ StatusOr<RunResult> StreamExecutor::Run(const std::vector<StreamSpec>& streams,
       scan_env.cost = &cost_;
       scan_env.disk_options = &env_->disk().options();
       scan_env.ssm = mode_ == ScanMode::kShared ? ssm_ : nullptr;
-      scan_env.kernel = kernel_;
       scan_env.tracer = tracer_;
       if (spec.access == AccessPath::kIndexScan) {
         SCANSHARE_ASSIGN_OR_RETURN(const storage::BlockIndex* block_index,

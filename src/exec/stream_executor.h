@@ -112,7 +112,9 @@ class StreamExecutor {
   StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
                  const storage::Catalog* catalog, ssm::ScanSharingManager* ssm,
                  ssm::IndexScanSharingManager* ism, const CostModel& cost,
-                 ScanMode mode, KernelMode kernel = KernelMode::kColumnar,
+                 ScanMode mode,
+                 // Unused: kept only because scanbench/ passes it.
+                 KernelMode = KernelMode::kColumnar,
                  obs::Tracer* tracer = nullptr);
 
   /// Runs every stream to completion; the virtual clock starts at its
@@ -139,7 +141,6 @@ class StreamExecutor {
   ssm::IndexScanSharingManager* ism_;
   CostModel cost_;
   ScanMode mode_;
-  KernelMode kernel_;
   obs::Tracer* tracer_;  // Borrowed; null when tracing is off.
   io::Prefetcher* prefetcher_ = nullptr;  // Borrowed; null in pull mode.
 };

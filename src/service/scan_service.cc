@@ -131,7 +131,6 @@ StatusOr<ServiceResult> ScanService::Run(
     scan_env.cost = &config.cost;
     scan_env.disk_options = &env->disk().options();
     scan_env.ssm = shared ? &ssm : nullptr;
-    scan_env.kernel = config.kernel;
     scan_env.tracer = tracer.get();
     if (s.spec.access == exec::AccessPath::kIndexScan) {
       SCANSHARE_ASSIGN_OR_RETURN(const storage::BlockIndex* block_index,

@@ -135,6 +135,56 @@ TEST(AggregateTest, BindRejectsUnknownGroupBy) {
   EXPECT_EQ(agg.Bind(s).code(), Status::Code::kNotFound);
 }
 
+// An aggregate expression whose postfix program needs more than 32 stack
+// slots: the columnar path has no fixed evaluation stack, so PrepareHot
+// must accept it and ConsumeBatch must fold exactly what Consume folds.
+TEST(AggregateTest, DeepExpressionBatchMatchesConsume) {
+  Schema s = TestSchema();
+  // Right-deep chain: every level leaves one operand on the stack while
+  // the next level is evaluated, so the program peaks at 41 slots.
+  Expr deep = Expr::Column("x");
+  for (int i = 0; i < 40; ++i) {
+    Expr scaled = Expr::Mul(Expr::Column("x"), Expr::Const(0.1 * (i + 1)));
+    deep = i % 2 == 0 ? Expr::Add(std::move(scaled), std::move(deep))
+                      : Expr::Sub(std::move(scaled), std::move(deep));
+  }
+  const std::vector<AggSpec> specs = {
+      AggSpec{"sum", AggOp::kSum, deep}, AggSpec{"avg", AggOp::kAvg, deep},
+      AggSpec{"min", AggOp::kMin, deep}, AggSpec{"max", AggOp::kMax, deep},
+      AggSpec{"cnt", AggOp::kCount, Expr::Const(0)}};
+  for (const std::vector<std::string>& group_by :
+       {std::vector<std::string>{}, std::vector<std::string>{"g"}}) {
+    Aggregator scalar(specs, group_by);
+    Aggregator batch(specs, group_by);
+    ASSERT_TRUE(scalar.Bind(s).ok());
+    ASSERT_TRUE(batch.Bind(s).ok());
+    ASSERT_TRUE(batch.PrepareHot(s).ok());
+
+    std::vector<std::vector<uint8_t>> rows;
+    for (int i = 0; i < 50; ++i) {
+      rows.push_back(Encode(s, 0.37 * i - 5.0, i % 3 == 0 ? "A" : "B", "x"));
+    }
+    std::vector<const uint8_t*> tuples;
+    std::vector<uint8_t> sel;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      tuples.push_back(rows[i].data());
+      sel.push_back(i % 4 == 1 ? 0 : 1);
+      if (sel.back()) scalar.Consume(s, rows[i].data());
+    }
+    batch.ConsumeBatch(tuples.data(), sel.data(), tuples.size());
+
+    const QueryOutput want = scalar.Finish(rows.size());
+    const QueryOutput got = batch.Finish(rows.size());
+    EXPECT_EQ(got.rows_matched, want.rows_matched);
+    ASSERT_EQ(got.groups.size(), want.groups.size());
+    for (size_t g = 0; g < got.groups.size(); ++g) {
+      EXPECT_EQ(got.groups[g].key, want.groups[g].key);
+      EXPECT_EQ(got.groups[g].rows, want.groups[g].rows);
+      EXPECT_EQ(got.groups[g].values, want.groups[g].values);
+    }
+  }
+}
+
 TEST(AggregateTest, FindGroupMissingReturnsNull) {
   QueryOutput out;
   EXPECT_EQ(out.FindGroup("Z"), nullptr);

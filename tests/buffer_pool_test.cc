@@ -33,6 +33,16 @@ class BufferPoolTest : public ::testing::Test {
     return std::make_unique<BufferPool>(&dm_, std::move(policy), o);
   }
 
+  static void ExpectStatsEqual(const BufferPoolStats& a,
+                               const BufferPoolStats& b) {
+    EXPECT_EQ(a.logical_reads, b.logical_reads);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.physical_pages, b.physical_pages);
+    EXPECT_EQ(a.io_requests, b.io_requests);
+    EXPECT_EQ(a.evictions, b.evictions);
+  }
+
   sim::Env env_;
   storage::DiskManager dm_;
 };
@@ -96,15 +106,30 @@ TEST_F(BufferPoolTest, ClipBoundsRestrictPrefetch) {
   EXPECT_TRUE(pool->Contains(7));
 }
 
+// Rejected fetches leave every counter untouched and the pool consistent,
+// whether the header hit path (resident page) or FetchSlow rejects them.
 TEST_F(BufferPoolTest, FetchOutsideClipRejected) {
   auto pool = MakePool(8);
-  EXPECT_EQ(pool->FetchPage(3, 0, 8, 16).status().code(),
+  // Pages [0, 4) become resident and unpinned.
+  ASSERT_TRUE(pool->FetchPage(0, 0).ok());
+  ASSERT_TRUE(pool->UnpinPage(0, PagePriority::kNormal).ok());
+  const BufferPoolStats before = pool->stats();
+  EXPECT_EQ(pool->FetchPage(2, 0, 8, 16).status().code(),
             Status::Code::kInvalidArgument);
+  EXPECT_EQ(pool->FetchPage(20, 0, 0, 16).status().code(),
+            Status::Code::kInvalidArgument);
+  ExpectStatsEqual(pool->stats(), before);
+  EXPECT_TRUE(pool->CheckInvariants().ok());
 }
 
 TEST_F(BufferPoolTest, UnallocatedPageRejected) {
   auto pool = MakePool(8);
+  ASSERT_TRUE(pool->FetchPage(0, 0).ok());
+  ASSERT_TRUE(pool->UnpinPage(0, PagePriority::kNormal).ok());
+  const BufferPoolStats before = pool->stats();
   EXPECT_EQ(pool->FetchPage(1000, 0).status().code(), Status::Code::kOutOfRange);
+  ExpectStatsEqual(pool->stats(), before);
+  EXPECT_TRUE(pool->CheckInvariants().ok());
 }
 
 TEST_F(BufferPoolTest, EvictionRecyclesLruFrame) {
@@ -302,60 +327,23 @@ TEST_F(BufferPoolTest, EvictionsOnlyClaimPreexistingPages) {
 }
 
 // The residency bitmap (what Contains consults) must track install,
-// eviction, and flush in both translation modes.
-TEST_F(BufferPoolTest, ResidencyTracksInstallEvictionAndFlushInBothModes) {
-  for (TranslationMode mode : {TranslationMode::kArray, TranslationMode::kMap}) {
-    BufferPoolOptions o;
-    o.num_frames = 4;
-    o.prefetch_extent_pages = 4;
-    o.translation = mode;
-    BufferPool pool(&dm_, std::make_unique<LruReplacer>(4), o);
-    ASSERT_EQ(pool.translation_mode(), mode);
+// eviction, and flush.
+TEST_F(BufferPoolTest, ResidencyTracksInstallEvictionAndFlush) {
+  auto pool = MakePool(4, /*extent=*/4);
+  ASSERT_TRUE(pool->FetchPage(0, 0).ok());
+  ASSERT_TRUE(pool->UnpinPage(0, PagePriority::kNormal).ok());
+  for (sim::PageId p = 0; p < 4; ++p) EXPECT_TRUE(pool->Contains(p));
+  EXPECT_FALSE(pool->Contains(4));
 
-    ASSERT_TRUE(pool.FetchPage(0, 0).ok());
-    ASSERT_TRUE(pool.UnpinPage(0, PagePriority::kNormal).ok());
-    for (sim::PageId p = 0; p < 4; ++p) EXPECT_TRUE(pool.Contains(p));
-    EXPECT_FALSE(pool.Contains(4));
+  // Eviction clears residency of the victims.
+  ASSERT_TRUE(pool->FetchPage(8, 1000).ok());
+  ASSERT_TRUE(pool->UnpinPage(8, PagePriority::kNormal).ok());
+  for (sim::PageId p = 0; p < 4; ++p) EXPECT_FALSE(pool->Contains(p));
+  for (sim::PageId p = 8; p < 12; ++p) EXPECT_TRUE(pool->Contains(p));
 
-    // Eviction clears residency of the victims.
-    ASSERT_TRUE(pool.FetchPage(8, 1000).ok());
-    ASSERT_TRUE(pool.UnpinPage(8, PagePriority::kNormal).ok());
-    for (sim::PageId p = 0; p < 4; ++p) EXPECT_FALSE(pool.Contains(p));
-    for (sim::PageId p = 8; p < 12; ++p) EXPECT_TRUE(pool.Contains(p));
-
-    // FlushAll clears everything.
-    ASSERT_TRUE(pool.FlushAll().ok());
-    for (sim::PageId p = 0; p < 12; ++p) EXPECT_FALSE(pool.Contains(p));
-  }
-}
-
-TEST_F(BufferPoolTest, MapModeMatchesArrayModeOnMixedTraffic) {
-  // Identical fetch/unpin traffic with evictions in both translation
-  // modes must produce identical counters.
-  BufferPoolStats stats[2];
-  const TranslationMode modes[2] = {TranslationMode::kArray,
-                                    TranslationMode::kMap};
-  for (int m = 0; m < 2; ++m) {
-    BufferPoolOptions o;
-    o.num_frames = 6;
-    o.prefetch_extent_pages = 4;
-    o.translation = modes[m];
-    BufferPool pool(&dm_, std::make_unique<LruReplacer>(6), o);
-    sim::Micros now = 0;
-    for (sim::PageId p = 0; p < 24; ++p) {
-      auto r = pool.FetchPage(p % 16, now);
-      ASSERT_TRUE(r.ok());
-      now += 500;
-      ASSERT_TRUE(pool.UnpinPage(p % 16, PagePriority::kNormal).ok());
-    }
-    stats[m] = pool.stats();
-  }
-  EXPECT_EQ(stats[0].logical_reads, stats[1].logical_reads);
-  EXPECT_EQ(stats[0].hits, stats[1].hits);
-  EXPECT_EQ(stats[0].misses, stats[1].misses);
-  EXPECT_EQ(stats[0].physical_pages, stats[1].physical_pages);
-  EXPECT_EQ(stats[0].io_requests, stats[1].io_requests);
-  EXPECT_EQ(stats[0].evictions, stats[1].evictions);
+  // FlushAll clears everything.
+  ASSERT_TRUE(pool->FlushAll().ok());
+  for (sim::PageId p = 0; p < 12; ++p) EXPECT_FALSE(pool->Contains(p));
 }
 
 TEST_F(BufferPoolTest, InvariantsHoldThroughNormalTraffic) {
@@ -390,12 +378,7 @@ TEST_F(BufferPoolTest, FailedFetchLeavesStatsAndDiskUntouched) {
   auto failed = pool->FetchPage(8, 1000);
   EXPECT_EQ(failed.status().code(), Status::Code::kResourceExhausted);
 
-  EXPECT_EQ(pool->stats().logical_reads, before.logical_reads);
-  EXPECT_EQ(pool->stats().hits, before.hits);
-  EXPECT_EQ(pool->stats().misses, before.misses);
-  EXPECT_EQ(pool->stats().physical_pages, before.physical_pages);
-  EXPECT_EQ(pool->stats().io_requests, before.io_requests);
-  EXPECT_EQ(pool->stats().evictions, before.evictions);
+  ExpectStatsEqual(pool->stats(), before);
   EXPECT_EQ(env_.disk().stats().requests, disk_before.requests);
   EXPECT_EQ(env_.disk().stats().pages_read, disk_before.pages_read);
   EXPECT_EQ(env_.disk().stats().busy_micros, disk_before.busy_micros);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/engine.h"
-#include "metrics/report.h"
 #include "testutil.h"
 #include "workload/queries.h"
 
@@ -200,51 +199,70 @@ INSTANTIATE_TEST_SUITE_P(Extents, ExtentSweepTest,
                            return name;
                          });
 
-// Kernel sweep: the columnar batch kernel (selection bitmap + masked
-// folds) must be indistinguishable from the scalar tuple-at-a-time
-// kernel — not epsilon-close, bit-identical, including every aggregate
-// double, every counter, and every virtual timestamp. This is the
-// contract that lets KernelMode::kColumnar be the default.
+// Kernel sweep: the engine's columnar kernel (selection bitmap + batched
+// folds) must be indistinguishable from the tree interpreter
+// (Predicate::Eval + Aggregator::Consume) — not epsilon-close but
+// bit-identical, every aggregate double compared with ==. A baseline-mode
+// run folds each query's pages in page order, the oracle's order.
 struct KernelParam {
   const char* label;
-  exec::QuerySpec (*make)(const std::string&, int);
+  exec::QuerySpec (*make)(const std::string&);
 };
 
-exec::QuerySpec MakeQ6(const std::string& t, int) {
-  return workload::MakeQ6Like(t);
-}
-exec::QuerySpec MakeQ1(const std::string& t, int) {
-  return workload::MakeQ1Like(t);
-}
-exec::QuerySpec MakeMid(const std::string& t, int) {
+exec::QuerySpec MakeQ6(const std::string& t) { return workload::MakeQ6Like(t); }
+exec::QuerySpec MakeQ1(const std::string& t) { return workload::MakeQ1Like(t); }
+exec::QuerySpec MakeMid(const std::string& t) {
   return workload::MakeMidWeight(t);
 }
 
 void PrintTo(const KernelParam& p, std::ostream* os) { *os << p.label; }
 
+/// Requires every query of `run` to match the interpreter oracle exactly.
+void ExpectRunMatchesInterpreter(const exec::RunResult& run,
+                                 const std::vector<StreamSpec>& streams) {
+  ASSERT_EQ(run.streams.size(), streams.size());
+  size_t checked = 0;
+  for (size_t s = 0; s < streams.size(); ++s) {
+    ASSERT_EQ(run.streams[s].queries.size(), streams[s].queries.size());
+    for (size_t q = 0; q < streams[s].queries.size(); ++q) {
+      const exec::QueryOutput oracle =
+          testutil::InterpretQuery(SharedDb(), streams[s].queries[q]);
+      const exec::QueryOutput& got = run.streams[s].queries[q].output;
+      SCOPED_TRACE("stream " + std::to_string(s) + " query " +
+                   std::to_string(q));
+      EXPECT_GT(got.rows_scanned, 0u);
+      EXPECT_EQ(got.rows_scanned, oracle.rows_scanned);
+      EXPECT_EQ(got.rows_matched, oracle.rows_matched);
+      ASSERT_EQ(got.groups.size(), oracle.groups.size());
+      for (size_t g = 0; g < got.groups.size(); ++g) {
+        EXPECT_EQ(got.groups[g].key, oracle.groups[g].key);
+        EXPECT_EQ(got.groups[g].rows, oracle.groups[g].rows);
+        // Exact double equality: the build has no -march flag, so no FMA
+        // contraction can separate the two evaluation orders.
+        EXPECT_EQ(got.groups[g].values, oracle.groups[g].values);
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 class KernelSweepTest : public ::testing::TestWithParam<KernelParam> {};
 
-TEST_P(KernelSweepTest, ColumnarBitIdenticalToScalar) {
+TEST_P(KernelSweepTest, ColumnarBitIdenticalToInterpreter) {
   const KernelParam p = GetParam();
   std::vector<StreamSpec> streams(3);
   for (size_t i = 0; i < streams.size(); ++i) {
     streams[i].start_delay = sim::Micros{i * 5000};
-    streams[i].queries.push_back(p.make("lineitem", static_cast<int>(i)));
+    streams[i].queries.push_back(p.make("lineitem"));
   }
 
   RunConfig c;
-  c.mode = ScanMode::kShared;
+  c.mode = ScanMode::kBaseline;
   c.buffer.num_frames = 32;
-  c.kernel = exec::KernelMode::kScalar;
-  auto scalar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(scalar.ok());
-  c.kernel = exec::KernelMode::kColumnar;
-  auto columnar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(columnar.ok());
-
-  std::string diff;
-  EXPECT_TRUE(metrics::BitIdentical(*scalar, *columnar, &diff))
-      << "first difference: " << diff;
+  auto run = SharedDb()->Run(c, streams);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ExpectRunMatchesInterpreter(*run, streams);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, KernelSweepTest,
@@ -253,25 +271,18 @@ INSTANTIATE_TEST_SUITE_P(Kernels, KernelSweepTest,
                                            KernelParam{"mid", MakeMid}),
                          [](const auto& tpi) { return tpi.param.label; });
 
-// Baseline-mode variant with the default mix (exercises the unfiltered
-// count-only path and multi-query streams).
-TEST(KernelSweepTest, BaselineMixBitIdentical) {
+// The default mix adds the unfiltered count-only path, range scans, and
+// multi-query streams.
+TEST(KernelSweepTest, BaselineMixBitIdenticalToInterpreter) {
   auto streams = workload::MakeThroughputStreams(
       workload::DefaultQueryMix("lineitem"), 2, 4, 99);
 
   RunConfig c;
   c.mode = ScanMode::kBaseline;
   c.buffer.num_frames = 24;
-  c.kernel = exec::KernelMode::kScalar;
-  auto scalar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(scalar.ok());
-  c.kernel = exec::KernelMode::kColumnar;
-  auto columnar = SharedDb()->Run(c, streams);
-  ASSERT_TRUE(columnar.ok());
-
-  std::string diff;
-  EXPECT_TRUE(metrics::BitIdentical(*scalar, *columnar, &diff))
-      << "first difference: " << diff;
+  auto run = SharedDb()->Run(c, streams);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ExpectRunMatchesInterpreter(*run, streams);
 }
 
 }  // namespace

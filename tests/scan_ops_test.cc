@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "buffer/buffer_pool.h"
+#include "exec/chunk_processor.h"
 #include "exec/engine.h"
 #include "storage/catalog.h"
 
@@ -216,6 +217,22 @@ TEST_F(ScanOpsTest, MetricsSplitIoAndCpu) {
   EXPECT_GT(m.overhead, 0u);
   EXPECT_GE(m.end_time, m.start_time);
   EXPECT_EQ(m.buffer_hits + m.buffer_misses, table_.num_pages);
+}
+
+// A query that cannot be compiled (here: never bound) is an error from
+// ProcessRange, raised before any page is fetched.
+TEST_F(ScanOpsTest, ChunkProcessorRejectsUnboundQuery) {
+  QuerySpec q = SumQuery();
+  q.predicate.And("v", CompareOp::kGe, Value::Double(0.0));
+  Aggregator agg(q.aggs, q.group_by);
+  ScanMetrics metrics;
+  ChunkProcessor chunks(pool_.get(), &table_, &cost_, &q.predicate, &agg,
+                        &metrics);
+  auto elapsed = chunks.ProcessRange(table_.first_page, table_.first_page + 1,
+                                     0, buffer::PagePriority::kNormal);
+  EXPECT_EQ(elapsed.status().code(), Status::Code::kFailedPrecondition);
+  EXPECT_EQ(pool_->stats().logical_reads, 0u);
+  EXPECT_EQ(metrics.pages_scanned, 0u);
 }
 
 TEST(ResolveScanRangeTest, FullRange) {

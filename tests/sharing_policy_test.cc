@@ -394,7 +394,7 @@ ReleaseContext GroupCtx(size_t group, bool trailer, uint64_t gap) {
   return ctx;
 }
 
-TEST(PagePolicyTest, DefaultReproducesAdvisorHintTable) {
+TEST(PagePolicyTest, DefaultHighBehindFollowersLowOnlyForClearedTrailer) {
   DefaultPagePolicy p;
   // Singletons and disabled hints are neutral.
   EXPECT_EQ(p.ReleasePriority(GroupCtx(1, false, 0)), PagePriority::kNormal);
@@ -405,7 +405,15 @@ TEST(PagePolicyTest, DefaultReproducesAdvisorHintTable) {
   // once its successor cleared the working chunk (gap >= extent).
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, false, 0)), PagePriority::kHigh);
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 8)), PagePriority::kHigh);
+  EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 15)), PagePriority::kHigh);
   EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 16)), PagePriority::kLow);
+  // A successor far ahead leaves the trailer's chunk just as dead.
+  EXPECT_EQ(p.ReleasePriority(GroupCtx(3, true, 500)), PagePriority::kLow);
+  // The middle member of three is neither leader nor trailer: the trailer
+  // still follows it, so its pages stay High.
+  ReleaseContext middle = GroupCtx(3, false, 100);
+  middle.is_leader = false;
+  EXPECT_EQ(p.ReleasePriority(middle), PagePriority::kHigh);
 }
 
 TEST(PagePolicyTest, AbmDropsBehindSingletons) {

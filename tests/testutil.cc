@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "exec/scan_ops.h"
+#include "storage/page.h"
 #include "workload/queries.h"
 #include "workload/tpch_gen.h"
 
@@ -52,6 +54,38 @@ std::vector<exec::StreamSpec> StaggeredQ1Q6(const std::string& table,
   streams[1].queries.push_back(workload::MakeQ6Like(table));
   streams[1].start_delay = stagger;
   return streams;
+}
+
+exec::QueryOutput InterpretQuery(exec::Database* db, exec::QuerySpec query,
+                                 uint64_t extent_pages) {
+  auto table = db->catalog()->GetTable(query.table);
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  if (!table.ok()) return exec::QueryOutput{};
+  const storage::Schema& schema = (*table)->schema;
+  exec::Aggregator agg(query.aggs, query.group_by);
+  const Status bound = query.predicate.Bind(schema);
+  EXPECT_TRUE(bound.ok()) << bound.ToString();
+  const Status agg_bound = agg.Bind(schema);
+  EXPECT_TRUE(agg_bound.ok()) << agg_bound.ToString();
+
+  sim::PageId first = 0;
+  sim::PageId end = 0;
+  exec::ResolveScanRange(**table, query, extent_pages, &first, &end);
+  storage::DiskManager* dm = db->disk_manager();
+  uint64_t scanned = 0;
+  for (sim::PageId p = first; p < end; ++p) {
+    auto bytes = dm->PageData(p);
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    if (!bytes.ok()) break;
+    const storage::Page view(const_cast<uint8_t*>(*bytes), dm->page_size());
+    const uint16_t count = view.tuple_count();
+    for (uint16_t slot = 0; slot < count; ++slot) {
+      const uint8_t* tuple = view.TupleDataUnchecked(slot);
+      if (query.predicate.Eval(schema, tuple)) agg.Consume(schema, tuple);
+    }
+    scanned += count;
+  }
+  return agg.Finish(scanned);
 }
 
 int ConcurrencyWitness::Enter() {

@@ -44,6 +44,15 @@ exec::RunConfig MakeRunConfig(exec::ScanMode mode, size_t frames,
 std::vector<exec::StreamSpec> StaggeredQ1Q6(const std::string& table,
                                             sim::Micros stagger);
 
+/// The engine's correctness oracle: answers table-scan `query` with the
+/// tree interpreter alone (Predicate::Eval + Aggregator::Consume), folding
+/// the query's page range (ResolveScanRange at `extent_pages`) straight
+/// from the page store in page order, tuples in slot order. That is the
+/// fold order of a baseline-mode scan, so Database::Run in kBaseline must
+/// reproduce this output bit for bit.
+exec::QueryOutput InterpretQuery(exec::Database* db, exec::QuerySpec query,
+                                 uint64_t extent_pages = 16);
+
 // ---------------------------------------------------------------- threads
 
 /// Observes how many tasks were ever inside a region simultaneously.
