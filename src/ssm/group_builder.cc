@@ -104,7 +104,8 @@ std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
 
   // Chains of consecutive included edges become groups. Find arc starts:
   // sorted positions whose incoming edge (from the predecessor) is absent.
-  std::vector<bool> visited(n, false);
+  // One always exists: the union-find guard admits at most n-1 of the n
+  // circle edges.
   for (size_t s = 0; s < n; ++s) {
     const size_t incoming = (s + n - 1) % n;
     if (included[incoming]) continue;  // Not an arc start.
@@ -112,7 +113,6 @@ std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
     uint64_t extent = 0;
     size_t i = s;
     while (true) {
-      visited[i] = true;
       g.members.push_back(points[order[i]].id);
       if (!included[i]) break;  // Edge out of i is absent: arc ends here.
       extent += edges[i].gap;
@@ -122,17 +122,6 @@ std::vector<ScanGroup> BuildScanGroups(const std::vector<ScanPoint>& points,
     g.leader = g.members.back();
     g.extent_pages = extent;
     groups.push_back(std::move(g));
-  }
-
-  // Degenerate safety: if every edge was somehow included (cannot happen
-  // thanks to the union-find guard), fall back to one group per scan.
-  if (groups.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      ScanGroup g;
-      g.members = {points[order[i]].id};
-      g.trailer = g.leader = points[order[i]].id;
-      groups.push_back(std::move(g));
-    }
   }
   return groups;
 }

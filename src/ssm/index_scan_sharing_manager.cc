@@ -1,7 +1,9 @@
 #include "ssm/index_scan_sharing_manager.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "buffer/policies/page_policies.h"
+#include "ssm/policies/sharing_rules.h"
 
 namespace scanshare::ssm {
 
@@ -53,20 +55,13 @@ StatusOr<IndexStartInfo> IndexScanSharingManager::StartIndexScan(
   const IndexScanState* best = nullptr;
   double best_score = 0.0;
   if (options_.enabled && options_.enable_smart_placement) {
+    const uint64_t threshold = options_.EffectiveThresholdBlocks();
     for (ScanId sid : index.active) {
       const IndexScanState& cand = scans_.at(sid);
       if (!KeyInRange(cand.location.key, desc)) continue;
-      const double v_cand = std::max(cand.speed_bps, 1e-9);
-      const double v_new = std::max(est_speed, 1e-9);
-      const double gap = std::abs(v_new - v_cand);
-      const double threshold =
-          static_cast<double>(options_.EffectiveThresholdBlocks());
-      const double t_drift = gap < 1e-9 ? 1e18 : threshold / gap;
-      const double t_cand =
-          static_cast<double>(cand.remaining_blocks()) / v_cand;
-      const double t_new = static_cast<double>(desc.estimated_blocks) / v_new;
       const double score =
-          std::min({t_drift, t_cand, t_new}) * std::min(v_new, v_cand);
+          ExpectedSharedUnits(est_speed, cand.speed_bps, threshold,
+                              cand.remaining_blocks(), desc.estimated_blocks);
       if (best == nullptr || score > best_score ||
           (score == best_score && cand.id < best->id)) {
         best = &cand;
@@ -247,57 +242,38 @@ StatusOr<IndexUpdateResult> IndexScanSharingManager::UpdateIndexScan(
   result.is_leader = group->leader == id;
   result.is_trailer = group->trailer == id;
 
-  // Release priority (paper §7.3 via the table-scan rules): followers
-  // behind -> High; a trailer whose successor has cleared its current
-  // block -> Low; otherwise Normal/High as for table scans.
-  if (options_.enable_priority_hints && group->size() >= 2) {
-    if (result.is_trailer) {
-      result.priority = SuccessorGapBlocks(*group) >= 1
-                            ? buffer::PagePriority::kLow
-                            : buffer::PagePriority::kHigh;
-    } else {
-      result.priority = buffer::PagePriority::kHigh;
-    }
-  }
+  // Release priority (paper §7.3): the table-scan rule with a one-block
+  // quantum.
+  buffer::ReleaseContext release;
+  release.hints_enabled = options_.enable_priority_hints;
+  release.group_size = group->size();
+  release.is_leader = result.is_leader;
+  release.is_trailer = result.is_trailer;
+  release.successor_gap_pages = SuccessorGapBlocks(*group);
+  release.extent_pages = 1;
+  result.priority = buffer::DefaultPagePolicy().ReleasePriority(release);
 
-  // Leader throttling on the offset axis (paper §7.2).
+  // Leader throttling on the offset axis (paper §7.2): the table-scan
+  // rules with a one-block hysteresis quantum.
   if (options_.enable_throttling && result.is_leader && group->size() >= 2) {
     const IndexScanState& trailer = scans_.at(group->trailer);
-    const uint64_t gap = scan.anchor_offset >= trailer.anchor_offset
-                             ? scan.anchor_offset - trailer.anchor_offset
-                             : 0;
-    result.gap_blocks = gap;
-    const uint64_t threshold = options_.EffectiveThresholdBlocks();
-    // One block of hysteresis absorbs update-quantization noise (cf. the
-    // table-scan ThrottleController).
-    if (gap > threshold + 1 && !scan.throttling_exhausted) {
-      const double trailer_bps = std::max(trailer.speed_bps, 1e-9);
-      const double excess = static_cast<double>(gap - threshold);
-      sim::Micros wait = static_cast<sim::Micros>(
-          std::llround(excess / trailer_bps * 1e6));
-      wait = std::min(wait, options_.max_wait_per_update);
-
-      const double cap = options_.fairness_cap * scan.desc.throttle_tolerance *
-                         static_cast<double>(scan.desc.estimated_duration);
-      const double budget_left =
-          cap - static_cast<double>(scan.accumulated_wait);
-      if (budget_left <= 0.0) {
-        wait = 0;
-        scan.throttling_exhausted = true;
-        ++stats_.cap_suppressions;
-      } else if (static_cast<double>(wait) >= budget_left) {
-        wait = static_cast<sim::Micros>(budget_left);
-        scan.throttling_exhausted = true;
-      }
-      if (wait > 0) {
-        scan.accumulated_wait += wait;
-        ++stats_.throttle_events;
-        stats_.total_wait += wait;
-        result.wait = wait;
-      }
-    } else if (gap > threshold) {
-      ++stats_.cap_suppressions;
+    result.gap_blocks = scan.anchor_offset >= trailer.anchor_offset
+                            ? scan.anchor_offset - trailer.anchor_offset
+                            : 0;
+    const FairnessGrant grant = GrantWithinFairnessCap(
+        LeaderWaitFor(result.gap_blocks, options_.EffectiveThresholdBlocks(),
+                      /*quantum=*/1, trailer.speed_bps,
+                      scan.throttling_exhausted, options_.max_wait_per_update),
+        options_.fairness_cap, scan.desc.throttle_tolerance,
+        scan.desc.estimated_duration, scan.accumulated_wait);
+    if (grant.exhausted) scan.throttling_exhausted = true;
+    if (grant.wait > 0) {
+      scan.accumulated_wait += grant.wait;
+      ++stats_.throttle_events;
+      stats_.total_wait += grant.wait;
+      result.wait = grant.wait;
     }
+    if (grant.suppressed) ++stats_.cap_suppressions;
   }
   return result;
 }

@@ -15,10 +15,12 @@
 //  * scans whose location reaches another scan's anchor merge into that
 //    anchor group (paper §7.1), extending the partial order;
 //  * grouping / leader-trailer classification / throttling / release
-//    priorities then reuse the table-scan machinery verbatim on the
-//    linear offset axis (paper §7.2: "we can reuse all of the grouping,
-//    leader/trailer classification, throttling and page prioritization
-//    algorithms").
+//    priorities then call the table-scan rules on the linear offset axis,
+//    in blocks with a one-block quantum (paper §7.2: "we can reuse all of
+//    the grouping, leader/trailer classification, throttling and page
+//    prioritization algorithms"): BuildScanGroupsLinear, the shared
+//    ExpectedSharedUnits / LeaderWaitFor / GrantWithinFairnessCap
+//    (ssm/policies/sharing_rules.h), and DefaultPagePolicy's release rule.
 //
 // The index structure itself stays a black box: the ISM sees opaque
 // (key, position-within-key) locations and block counts only.

@@ -1,12 +1,11 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
 // SSM side of the policy seam (DESIGN.md §13). A SharingPolicy makes every
-// scan-coordination decision the ScanSharingManager used to hard-wire as
-// the PlacementPolicy + GroupBuilder + ThrottleController composition:
-// where an admitted scan starts (Place), how active scans cluster into
-// leader/trailer groups (Group — the ordering decision: a group's member
-// order IS the scan order the throttle and release hints act on), and
-// whether a leader must wait (Throttle). The manager keeps everything
+// scan-coordination decision of the ScanSharingManager: where an admitted
+// scan starts (Place), how active scans cluster into leader/trailer
+// groups (Group — the ordering decision: a group's member order IS the
+// scan order the throttle and release hints act on), and whether a
+// leader must wait (Throttle). The manager keeps everything
 // else: registries, locking, stats, fairness-cap accounting, tracing and
 // audits — so rival policies compete on decisions alone, under identical
 // bookkeeping.
@@ -24,6 +23,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -31,16 +31,28 @@
 #include "common/policy_kind.h"
 #include "ssm/group_builder.h"
 #include "ssm/options.h"
-#include "ssm/placement_policy.h"
 #include "ssm/scan_order.h"
 #include "ssm/scan_state.h"
-#include "ssm/throttle_controller.h"
 
 namespace scanshare::buffer {
 class ScanPositionBoard;
 }  // namespace scanshare::buffer
 
 namespace scanshare::ssm {
+
+/// Where a new scan should start and whom it joined.
+struct Placement {
+  sim::PageId start_page = 0;          ///< The scan's wrap point.
+  ScanId joined_scan = kInvalidScanId; ///< Ongoing scan joined, if any.
+  double expected_shared_pages = 0.0;  ///< Score of the chosen placement.
+};
+
+/// A policy's wait decision for one location update.
+struct ThrottleDecision {
+  sim::Micros wait = 0;        ///< Wait to insert into the calling scan.
+  bool capped = false;         ///< A wait was due but the leader is exhausted.
+  uint64_t gap_pages = 0;      ///< Observed leader→trailer distance.
+};
 
 /// Scan admission/placement/ordering/throttle policy. One instance serves
 /// one ScanSharingManager; see the file comment for the lock contract.
@@ -51,8 +63,11 @@ class SharingPolicy {
   /// Stable policy name for reports.
   virtual const char* name() const = 0;
 
-  /// Start location for a new scan (same contract as
-  /// PlacementPolicy::Choose, which the default policy delegates to).
+  /// Start location for a new scan described by `desc` whose initial
+  /// speed estimate is `est_speed_pps`. `active` holds the states of all
+  /// ongoing scans of the same table; `total_active_scans` counts every
+  /// scan sharing the buffer pool (across tables); `last_finished_pos` is
+  /// where the most recent scan of this table ended, if any.
   virtual Placement Place(const ScanDescriptor& desc, double est_speed_pps,
                           const std::vector<const ScanState*>& active,
                           size_t total_active_scans,

@@ -224,6 +224,91 @@ TEST(IsmTest, FairnessCapWithTolerance) {
   EXPECT_TRUE(state->throttling_exhausted);
 }
 
+TEST(IsmTest, HysteresisBandIsNotASuppression) {
+  // Gap 3 == threshold (2) + one-block quantum: no wait is due, so the
+  // fairness budget is never consulted and nothing was suppressed.
+  IndexScanSharingManager ism(TestOptions());
+  auto a = ism.StartIndexScan(Desc(), 0);
+  auto b = ism.StartIndexScan(Desc(), 0);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(b->id, IndexScanLocation{0, 1}, 1, sim::Seconds(1))
+          .ok());
+  auto ua =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{0, 4}, 4, sim::Seconds(1));
+  ASSERT_TRUE(ua.ok());
+  EXPECT_TRUE(ua->is_leader);
+  EXPECT_EQ(ua->gap_blocks, 3u);
+  EXPECT_EQ(ua->wait, 0u);
+  EXPECT_EQ(ism.stats().cap_suppressions, 0u);
+}
+
+TEST(IsmTest, ExhaustedLeaderSuppressedOnlyBeyondBand) {
+  IsmOptions o = TestOptions();
+  o.fairness_cap = 0.5;
+  IndexScanSharingManager ism(o);
+  IndexScanDescriptor fast = Desc();
+  fast.estimated_duration = sim::Seconds(2);  // Budget = 1 s.
+  auto a = ism.StartIndexScan(fast, 0);
+  auto b = ism.StartIndexScan(Desc(), 0);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(b->id, IndexScanLocation{0, 1}, 1, sim::Seconds(1))
+          .ok());
+  // Gap 11: raw wait 9 s clamped to the 1 s budget — a grant that
+  // exhausts the leader, not a suppression.
+  auto grant =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{1, 2}, 12, sim::Seconds(1));
+  ASSERT_TRUE(grant.ok());
+  EXPECT_EQ(grant->wait, sim::Seconds(1));
+  ASSERT_TRUE(ism.GetScanState(a->id)->throttling_exhausted);
+  EXPECT_EQ(ism.stats().cap_suppressions, 0u);
+
+  // Trailer closes to gap 3: inside the hysteresis band, nothing was due.
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(b->id, IndexScanLocation{1, 0}, 9, sim::Seconds(2))
+          .ok());
+  auto band =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{1, 2}, 12, sim::Seconds(3));
+  ASSERT_TRUE(band.ok());
+  EXPECT_EQ(band->gap_blocks, 3u);
+  EXPECT_EQ(ism.stats().cap_suppressions, 0u);
+
+  // Leader sprints to gap 11: a wait is due and the cap removes it.
+  auto capped =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{2, 0}, 20, sim::Seconds(4));
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped->gap_blocks, 11u);
+  EXPECT_EQ(capped->wait, 0u);
+  EXPECT_EQ(ism.stats().cap_suppressions, 1u);
+  EXPECT_EQ(ism.stats().throttle_events, 1u);
+}
+
+TEST(IsmTest, TruncatedBudgetResidueCountsAsSuppression) {
+  // Budget 0.5 us: the clamped grant truncates to zero microseconds, so
+  // the update suppressed the whole wait (the table-scan manager counts
+  // this case too).
+  IsmOptions o = TestOptions();
+  o.fairness_cap = 0.5;
+  IndexScanSharingManager ism(o);
+  IndexScanDescriptor tiny = Desc();
+  tiny.estimated_duration = 1;
+  auto a = ism.StartIndexScan(tiny, 0);
+  auto b = ism.StartIndexScan(Desc(), 0);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      ism.UpdateIndexScan(b->id, IndexScanLocation{0, 1}, 1, sim::Seconds(1))
+          .ok());
+  auto ua =
+      ism.UpdateIndexScan(a->id, IndexScanLocation{1, 2}, 12, sim::Seconds(1));
+  ASSERT_TRUE(ua.ok());
+  EXPECT_TRUE(ua->is_leader);
+  EXPECT_EQ(ua->wait, 0u);
+  EXPECT_TRUE(ism.GetScanState(a->id)->throttling_exhausted);
+  EXPECT_EQ(ism.stats().cap_suppressions, 1u);
+  EXPECT_EQ(ism.stats().throttle_events, 0u);
+}
+
 TEST(IsmTest, DisabledManagerDoesNothingSmart) {
   IsmOptions o = TestOptions();
   o.enabled = false;

@@ -1,6 +1,10 @@
-#include "ssm/placement_policy.h"
+// Placement of the default GroupThrottlePolicy (Place) and the shared
+// expected-sharing score it ranks candidates by.
 
 #include <gtest/gtest.h>
+
+#include "ssm/policies/group_throttle_policy.h"
+#include "ssm/policies/sharing_rules.h"
 
 namespace scanshare::ssm {
 namespace {
@@ -40,156 +44,151 @@ ScanState ActiveScan(ScanId id, sim::PageId pos, double pps,
   return s;
 }
 
-TEST(PlacementPolicyTest, NoScansNoHistoryStartsAtRangeBegin) {
+TEST(GroupThrottlePlaceTest, NoScansNoHistoryStartsAtRangeBegin) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {}, 0, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {}, 0, std::nullopt, c);
   EXPECT_EQ(placement.start_page, 0u);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
 }
 
-TEST(PlacementPolicyTest, JoinsOnlyOngoingScan) {
+TEST(GroupThrottlePlaceTest, JoinsOnlyOngoingScan) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 512, 100.0, 512);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 7u);
   EXPECT_EQ(placement.start_page, 512u);  // Already extent-aligned.
 }
 
-TEST(PlacementPolicyTest, StartPageAlignedDownToExtent) {
+TEST(GroupThrottlePlaceTest, StartPageAlignedDownToExtent) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 519, 100.0, 500);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
   EXPECT_EQ(placement.start_page, 512u);  // 519 aligned down to 16-grid.
 }
 
-TEST(PlacementPolicyTest, ZeroExtentAlignsToSinglePages) {
+TEST(GroupThrottlePlaceTest, ZeroExtentAlignsToSinglePages) {
   // prefetch_extent_pages == 0 must mean a one-page alignment quantum
   // (EffectiveExtent), not a division by zero or a surprise grid.
   SsmOptions o = DefaultOptions();
   o.prefetch_extent_pages = 0;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 519, 100.0, 500);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 7u);
   EXPECT_EQ(placement.start_page, 519u);  // Exact position: one-page grid.
 }
 
-TEST(PlacementPolicyTest, PrefersSpeedMatchedScan) {
+TEST(GroupThrottlePlaceTest, PrefersSpeedMatchedScan) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   // Both have plenty of range left; the speed-matched one wins (the
   // paper's Figure-7 "scan C beats scan A" case).
   ScanState fast = ActiveScan(1, 256, 500.0, 700);
   ScanState matched = ActiveScan(2, 512, 100.0, 450);
   auto placement =
-      p.Choose(FullTableDesc(), 100.0, {&fast, &matched}, 2, std::nullopt, c);
+      p.Place(FullTableDesc(), 100.0, {&fast, &matched}, 2, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 2u);
 }
 
-TEST(PlacementPolicyTest, PrefersScanWithMoreRemainingRange) {
+TEST(GroupThrottlePlaceTest, PrefersScanWithMoreRemainingRange) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   // Same speeds; the one about to finish shares almost nothing (the
   // paper's Figure-7 "scan B has little remaining overlap" case).
   ScanState nearly_done = ActiveScan(1, 1000, 100.0, 16);
   ScanState fresh = ActiveScan(2, 128, 100.0, 900);
   auto placement =
-      p.Choose(FullTableDesc(), 100.0, {&nearly_done, &fresh}, 2, std::nullopt, c);
+      p.Place(FullTableDesc(), 100.0, {&nearly_done, &fresh}, 2, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 2u);
 }
 
-TEST(PlacementPolicyTest, IgnoresScansOutsideNewRange) {
+TEST(GroupThrottlePlaceTest, IgnoresScansOutsideNewRange) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanDescriptor d = FullTableDesc();
   d.range_first = 512;  // New scan only covers the second half.
   d.range_end = 1024;
   d.estimated_pages = 512;
   ScanState outside = ActiveScan(1, 100, 100.0, 900);
-  auto placement = p.Choose(d, 100.0, {&outside}, 1, std::nullopt, c);
+  auto placement = p.Place(d, 100.0, {&outside}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
   EXPECT_EQ(placement.start_page, 512u);
 }
 
-TEST(PlacementPolicyTest, UsesLastFinishedPositionWhenIdle) {
+TEST(GroupThrottlePlaceTest, UsesLastFinishedPositionWhenIdle) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {}, 0, sim::PageId{768}, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {}, 0, sim::PageId{768}, c);
   EXPECT_EQ(placement.start_page, 768u);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
 }
 
-TEST(PlacementPolicyTest, LastFinishedOutsideRangeIgnored) {
+TEST(GroupThrottlePlaceTest, LastFinishedOutsideRangeIgnored) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanDescriptor d = FullTableDesc();
   d.range_first = 0;
   d.range_end = 512;
   d.estimated_pages = 512;
-  auto placement = p.Choose(d, 100.0, {}, 0, sim::PageId{768}, c);
+  auto placement = p.Place(d, 100.0, {}, 0, sim::PageId{768}, c);
   EXPECT_EQ(placement.start_page, 0u);
 }
 
-TEST(PlacementPolicyTest, SmartPlacementDisabled) {
+TEST(GroupThrottlePlaceTest, SmartPlacementDisabled) {
   SsmOptions o = DefaultOptions();
   o.enable_smart_placement = false;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(7, 512, 100.0, 512);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&a}, 1, sim::PageId{256}, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&a}, 1, sim::PageId{256}, c);
   EXPECT_EQ(placement.start_page, 0u);
   EXPECT_EQ(placement.joined_scan, kInvalidScanId);
 }
 
-TEST(PlacementPolicyTest, SharingScoreMonotonicInRemaining) {
-  SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
-  ScanState little = ActiveScan(1, 0, 100.0, 50);
-  ScanState lots = ActiveScan(2, 0, 100.0, 800);
-  EXPECT_LT(p.SharingScore(little, 100.0, 1024),
-            p.SharingScore(lots, 100.0, 1024));
+TEST(SharingRulesTest, SharingScoreMonotonicInRemaining) {
+  const uint64_t threshold = DefaultOptions().EffectiveDistanceThreshold();
+  EXPECT_LT(ExpectedSharedUnits(100.0, 100.0, threshold, 50, 1024),
+            ExpectedSharedUnits(100.0, 100.0, threshold, 800, 1024));
 }
 
-TEST(PlacementPolicyTest, SharingScoreFavoursCloserSpeeds) {
-  SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
-  ScanState cand = ActiveScan(1, 0, 100.0, 100000);
+TEST(SharingRulesTest, SharingScoreFavoursCloserSpeeds) {
+  const uint64_t threshold = DefaultOptions().EffectiveDistanceThreshold();
   // Candidate has huge remaining work: drift horizon dominates the score.
-  EXPECT_GT(p.SharingScore(cand, 110.0, 1 << 20),
-            p.SharingScore(cand, 400.0, 1 << 20));
+  EXPECT_GT(ExpectedSharedUnits(110.0, 100.0, threshold, 100000, 1 << 20),
+            ExpectedSharedUnits(400.0, 100.0, threshold, 100000, 1 << 20));
 }
 
-TEST(PlacementPolicyTest, YoungCandidateJoinedAtItsStart) {
+TEST(GroupThrottlePlaceTest, YoungCandidateJoinedAtItsStart) {
   SsmOptions o = DefaultOptions();
   o.bufferpool_pages = 256;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState young = ActiveScan(7, 192, 100.0, 800);
   young.start_page = 64;
   young.pages_processed = 128;  // 128 * 1 <= 256: everything resident.
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&young}, 1, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&young}, 1, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 7u);
   // Placed at the candidate's start: the catch-up rides buffered pages
   // and the wrap tail shrinks by the candidate's progress.
   EXPECT_EQ(placement.start_page, 64u);
 }
 
-TEST(PlacementPolicyTest, YoungRefinementScalesWithActiveScanCount) {
+TEST(GroupThrottlePlaceTest, YoungRefinementScalesWithActiveScanCount) {
   SsmOptions o = DefaultOptions();
   o.bufferpool_pages = 256;
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   // Same candidate progress, but three active scans churn the pool three
   // times as fast: 128 * 3 > 256, so the refinement must not fire.
@@ -199,18 +198,18 @@ TEST(PlacementPolicyTest, YoungRefinementScalesWithActiveScanCount) {
   ScanState other1 = ActiveScan(2, 700, 100.0, 300);
   ScanState other2 = ActiveScan(3, 900, 100.0, 100);
   auto placement =
-      p.Choose(FullTableDesc(), 100.0, {&cand, &other1, &other2}, 3, std::nullopt, c);
+      p.Place(FullTableDesc(), 100.0, {&cand, &other1, &other2}, 3, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 1u);
   EXPECT_EQ(placement.start_page, 192u);  // Current position, not start.
 }
 
-TEST(PlacementPolicyTest, EqualScoresBreakTiesByScanId) {
+TEST(GroupThrottlePlaceTest, EqualScoresBreakTiesByScanId) {
   SsmOptions o = DefaultOptions();
-  PlacementPolicy p(o);
+  GroupThrottlePolicy p(o);
   ScanCircle c(0, 1024);
   ScanState a = ActiveScan(3, 256, 100.0, 400);
   ScanState b = ActiveScan(9, 512, 100.0, 400);
-  auto placement = p.Choose(FullTableDesc(), 100.0, {&b, &a}, 2, std::nullopt, c);
+  auto placement = p.Place(FullTableDesc(), 100.0, {&b, &a}, 2, std::nullopt, c);
   EXPECT_EQ(placement.joined_scan, 3u);
 }
 

@@ -93,6 +93,7 @@ int ConcurrencyWitness::Enter() {
   int seen = max_.load();
   while (inside > seen && !max_.compare_exchange_weak(seen, inside)) {
   }
+  if (arrivals_.fetch_add(1) < 2) first_two_.arrive_and_wait();
   return inside;
 }
 

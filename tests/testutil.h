@@ -13,6 +13,7 @@
 #pragma once
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,7 +58,11 @@ exec::QueryOutput InterpretQuery(exec::Database* db, exec::QuerySpec query,
 
 /// Observes how many tasks were ever inside a region simultaneously.
 /// Enter() at region start, Exit() at region end, max_concurrent() after
-/// every participating task has joined.
+/// every participating task has joined. Overlap is structural: Enter()
+/// holds the first two entrants until both are inside, so any test whose
+/// region is entered by two tasks on two threads observes
+/// max_concurrent() >= 2 however the scheduler runs them. The hold is for
+/// two, not for every participant: pools run more tasks than threads.
 class ConcurrencyWitness {
  public:
   /// Returns the occupancy at entry (>= 1) and folds it into the maximum.
@@ -68,6 +73,8 @@ class ConcurrencyWitness {
  private:
   std::atomic<int> current_{0};
   std::atomic<int> max_{0};
+  std::atomic<int> arrivals_{0};
+  std::latch first_two_{2};
 };
 
 /// The threaded-test degradation contract: returns true if real overlap
