@@ -10,10 +10,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "buffer/page_policy.h"
 #include "common/policy_kind.h"
 #include "common/status.h"
 #include "exec/stream_executor.h"
@@ -119,6 +121,56 @@ struct RunConfig {
   /// attaches it to RunResult::trace. Off by default — when disabled every
   /// hook is a single untaken null test.
   obs::TraceOptions trace;
+};
+
+/// True when `io` asks for anything but the default demand-pull path over
+/// the sim page store: a prefetch window or the file backend. Only
+/// Database::Run builds that pipeline; the other drivers reject it.
+bool WantsIoPipeline(const IoOptions& io);
+
+/// The per-run engine every driver (Database::Run, service::ScanService::Run,
+/// RunQueryParallel) builds from: a cold clock and disk, the policy pair,
+/// the SSM and ISM, and the tracer. The drivers add only their pool and
+/// their loop.
+class RunEngine {
+ public:
+  /// Resets `env`'s clock and disk, then builds the run's state from
+  /// `config`. In kShared mode that is the PolicyKind-selected PagePolicy
+  /// and SharingPolicy (over one position board for the predictive pair),
+  /// the SSM (its bufferpool_pages and prefetch_extent_pages taken from
+  /// config.buffer) and the ISM (bufferpool_blocks derived from the buffer
+  /// geometry when 0). With config.trace.enabled it makes the tracer —
+  /// concurrent-mode if `concurrent_trace`, for drivers whose workers emit
+  /// from several threads — and attaches it to the SSM and the disk.
+  RunEngine(sim::Env* env, const RunConfig& config,
+            bool concurrent_trace = false);
+
+  /// Detaches the tracer from the disk, which outlives the run.
+  ~RunEngine();
+
+  RunEngine(const RunEngine&) = delete;
+  RunEngine& operator=(const RunEngine&) = delete;
+
+  /// A replacer for `num_frames` frames: the PagePolicy's in kShared mode,
+  /// the configured BaselinePolicy in kBaseline mode. The pool factory
+  /// (PartitionedBufferPool calls it once per partition).
+  std::unique_ptr<buffer::ReplacementPolicy> MakeReplacer(
+      size_t num_frames) const;
+
+  /// The run's scan-sharing managers; null in kBaseline mode.
+  ssm::ScanSharingManager* ssm() { return ssm_ ? &*ssm_ : nullptr; }
+  ssm::IndexScanSharingManager* ism() { return ism_ ? &*ism_ : nullptr; }
+
+  /// The run's tracer; null unless config.trace.enabled.
+  const std::shared_ptr<obs::Tracer>& tracer() const { return tracer_; }
+
+ private:
+  sim::Env* env_;
+  BaselinePolicy baseline_policy_;
+  std::shared_ptr<const buffer::PagePolicy> page_policy_;
+  std::optional<ssm::ScanSharingManager> ssm_;
+  std::optional<ssm::IndexScanSharingManager> ism_;
+  std::shared_ptr<obs::Tracer> tracer_;
 };
 
 /// Owns the simulated machine and storage; executes runs.

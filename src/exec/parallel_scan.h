@@ -46,10 +46,6 @@ struct ParallelScanOptions {
   /// Morsel size in prefetch extents (>= 1). One extent per morsel keeps
   /// every fetch's prefetch window inside the morsel.
   uint64_t morsel_extents = 1;
-  /// Register the scan with a ScanSharingManager (kShared mode only):
-  /// SSM placement picks the rotation start, workers report aggregate
-  /// progress and release pages at the advised priority.
-  bool use_ssm = true;
 };
 
 /// Result of one parallel query execution.
@@ -61,7 +57,7 @@ struct ParallelQueryResult {
   ScanMetrics metrics;
   /// Aggregated pool counters — NOT deterministic under concurrency.
   buffer::BufferPoolStats buffer;
-  /// SSM counters (zero when the SSM was not used).
+  /// SSM counters (zero in kBaseline mode, which bypasses the SSM).
   ssm::SsmStats ssm;
   size_t jobs = 0;        ///< Effective worker count.
   size_t partitions = 0;  ///< Effective pool partition count.
@@ -75,7 +71,11 @@ struct ParallelQueryResult {
 /// over a fresh PartitionedBufferPool, from a cold cache. Supports
 /// AccessPath::kTableScan only (NotSupported otherwise). `config` supplies
 /// the pool geometry, replacement policy family, cost model, SSM
-/// options, and tracing — the same knobs Database::Run reads.
+/// options, and tracing — the same RunEngine Database::Run builds. In
+/// kShared mode the scan registers with the SSM: placement picks the
+/// rotation start, workers report aggregate progress and release pages at
+/// the advised priority. RunConfig::io must stay default (InvalidArgument
+/// otherwise): workers read on demand through the partitioned pool.
 [[nodiscard]] StatusOr<ParallelQueryResult> RunQueryParallel(
     Database* db, const RunConfig& config, const QuerySpec& query,
     const ParallelScanOptions& options);

@@ -57,6 +57,16 @@ StatusOr<RunResult> StreamExecutor::Run(const std::vector<StreamSpec>& streams,
     if (!streams[i].queries.empty()) events.Push(states[i].ready_at, i);
   }
 
+  // Every cursor sees the same engine; OpenScanCursor adds the table.
+  const bool shared = mode_ == ScanMode::kShared;
+  ScanEnv scan_env;
+  scan_env.pool = pool_;
+  scan_env.cost = &cost_;
+  scan_env.disk_options = &env_->disk().options();
+  scan_env.ssm = shared ? ssm_ : nullptr;
+  scan_env.ism = shared ? ism_ : nullptr;
+  scan_env.tracer = tracer_;
+
   // Baselines for per-step (one extent chunk) delta-attribution into the
   // time series: counters are snapshotted once per step, not per page.
   sim::DiskStats last = env_->disk().stats();
@@ -69,31 +79,9 @@ StatusOr<RunResult> StreamExecutor::Run(const std::vector<StreamSpec>& streams,
 
     if (s.cursor == nullptr) {
       // Open the next query of this stream.
-      const QuerySpec& spec = streams[pick].queries[s.next_query];
-      SCANSHARE_ASSIGN_OR_RETURN(const storage::TableInfo* table,
-                                 catalog_->GetTable(spec.table));
-      ScanEnv scan_env;
-      scan_env.pool = pool_;
-      scan_env.table = table;
-      scan_env.cost = &cost_;
-      scan_env.disk_options = &env_->disk().options();
-      scan_env.ssm = mode_ == ScanMode::kShared ? ssm_ : nullptr;
-      scan_env.tracer = tracer_;
-      if (spec.access == AccessPath::kIndexScan) {
-        SCANSHARE_ASSIGN_OR_RETURN(const storage::BlockIndex* block_index,
-                                   catalog_->GetBlockIndex(spec.table));
-        IndexScanEnv index_env;
-        index_env.base = scan_env;
-        index_env.index = block_index;
-        index_env.ism = mode_ == ScanMode::kShared ? ism_ : nullptr;
-        s.cursor = mode_ == ScanMode::kShared
-                       ? MakeSharedIndexScan(index_env, spec)
-                       : MakeIndexScan(index_env, spec);
-      } else {
-        s.cursor = mode_ == ScanMode::kShared ? MakeSharedScan(scan_env, spec)
-                                              : MakeTableScan(scan_env, spec);
-      }
-      SCANSHARE_RETURN_IF_ERROR(s.cursor->Open(now));
+      SCANSHARE_ASSIGN_OR_RETURN(
+          s.cursor, OpenScanCursor(*catalog_, scan_env,
+                                   streams[pick].queries[s.next_query], now));
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kQueryBegin, now,
                             /*actor=*/pick, /*arg0=*/s.next_query);
       if (!s.started) {

@@ -18,7 +18,6 @@
 #include "buffer/buffer_pool.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "exec/index_scan_ops.h"
 #include "exec/query.h"
 #include "exec/scan_ops.h"
 #include "io/prefetcher.h"
@@ -106,9 +105,9 @@ enum class ScanMode {
 /// Drives a set of streams to completion over one buffer pool.
 class StreamExecutor {
  public:
-  /// `ssm`/`ism` may be null iff `mode` is kBaseline (`ism` additionally
-  /// only matters for workloads with index-scan queries). All pointers are
-  /// borrowed.
+  /// `ssm` may be null iff `mode` is kBaseline; kShared runs index-scan
+  /// queries through `ism` when it is set (unshared otherwise). All
+  /// pointers are borrowed.
   StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
                  const storage::Catalog* catalog, ssm::ScanSharingManager* ssm,
                  ssm::IndexScanSharingManager* ism, const CostModel& cost,

@@ -101,8 +101,8 @@ struct ServiceResult {
 
 /// Drives service runs over a Database's storage. The Database provides
 /// the simulated machine, disk, and catalog (populate it once with
-/// BuildServiceTables); each Run builds fresh per-run engine state and
-/// resets the clock and disk, exactly like Database::Run.
+/// BuildServiceTables); each Run builds its engine from exec::RunEngine,
+/// exactly like Database::Run.
 class ScanService {
  public:
   explicit ScanService(exec::Database* db) : db_(db) {}

@@ -4,7 +4,9 @@
 // buffer pool and the Scan Sharing Manager through thousands of random
 // operations *with disk fault injection armed*, calling the full
 // CheckInvariants() audits after every step, under both replacement
-// policies. This is the harness that makes the error paths ordinary instead
+// policies, with the pool reading on the demand pull path and through a
+// demand-only push pipeline (io::Prefetcher over io::SimIoBackend). This
+// is the harness that makes the error paths ordinary instead
 // of exceptional: injected device faults and mid-extent media faults fire
 // throughout, and every structure must stay consistent after each one.
 
@@ -19,6 +21,8 @@
 #include "buffer/replacer.h"
 #include "common/random.h"
 #include "exec/engine.h"
+#include "io/prefetcher.h"
+#include "io/sim_backend.h"
 #include "ssm/scan_sharing_manager.h"
 #include "testutil.h"
 #include "workload/queries.h"
@@ -34,6 +38,7 @@ using buffer::PagePriority;
 struct PoolStressParam {
   bool priority_policy;
   uint64_t seed;
+  bool push_sim = false;  ///< Fetch misses through the push pipeline.
 };
 
 class PoolFaultStressTest : public ::testing::TestWithParam<PoolStressParam> {};
@@ -61,6 +66,16 @@ TEST_P(PoolFaultStressTest, RandomOpsUnderFaultsPreserveInvariants) {
     policy = std::make_unique<buffer::LruReplacer>(options.num_frames);
   }
   BufferPool pool(&dm, std::move(policy), options);
+
+  // Push-sim: a demand-only pipeline (no SSM, depth 0) routes every miss
+  // through the pipeline branch of FetchSlow and the sim backend, under
+  // the same seeded device and media faults as the pull path.
+  io::SimIoBackend backend(&dm);
+  io::PrefetchOptions prefetch_options;
+  prefetch_options.depth = 0;
+  io::Prefetcher prefetcher(&backend, nullptr, &pool,
+                            options.prefetch_extent_pages, prefetch_options);
+  if (param.push_sim) pool.SetIoPipeline(&prefetcher);
 
   Rng rng(param.seed);
   std::map<sim::PageId, uint32_t> pins;  // Our model of outstanding pins.
@@ -148,13 +163,19 @@ TEST_P(PoolFaultStressTest, RandomOpsUnderFaultsPreserveInvariants) {
   EXPECT_GT(fetches, 2000u);
   EXPECT_GT(fetch_failures, 50u);
   EXPECT_GT(env.disk().faults_injected() + dm.page_data_faults_injected(), 20u);
+  if (param.push_sim) {
+    EXPECT_GT(prefetcher.stats().sync_reads, 500u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, PoolFaultStressTest,
-    ::testing::Values(PoolStressParam{false, 11}, PoolStressParam{true, 12}),
+    ::testing::Values(PoolStressParam{false, 11}, PoolStressParam{true, 12},
+                      PoolStressParam{false, 13, true},
+                      PoolStressParam{true, 14, true}),
     [](const auto& tpi) {
-      return std::string(tpi.param.priority_policy ? "PriorityLru" : "Lru");
+      return std::string(tpi.param.priority_policy ? "PriorityLru" : "Lru") +
+             (tpi.param.push_sim ? "PushSim" : "");
     });
 
 // Randomized SSM lifecycle stress: scans start, report progress (sometimes

@@ -122,5 +122,20 @@ TEST_F(ParallelScanTest, RejectsIndexScanQueries) {
   EXPECT_EQ(r.status().code(), Status::Code::kNotSupported);
 }
 
+// The morsel workers read on demand through the partitioned pool; a push
+// pipeline or file backend request is refused, not silently ignored.
+TEST_F(ParallelScanTest, RejectsPushIoConfig) {
+  ParallelScanOptions options;
+  RunConfig push = config_;
+  push.io.prefetch_depth = 4;
+  RunConfig file = config_;
+  file.io.backend = IoOptions::Backend::kFile;
+  for (const RunConfig& config : {push, file}) {
+    auto r = RunQueryParallel(db_.get(), config,
+                              workload::MakeQ6Like("lineitem"), options);
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace scanshare::exec

@@ -93,7 +93,7 @@ class ScanOpsTest : public ::testing::Test {
 };
 
 TEST_F(ScanOpsTest, BaselineScanComputesCorrectAggregate) {
-  auto cursor = MakeTableScan(Env(false), SumQuery());
+  auto cursor = MakeScanCursor(Env(false), SumQuery());
   QueryOutput out = Drive(cursor.get());
   ASSERT_EQ(out.groups.size(), 1u);
   EXPECT_DOUBLE_EQ(out.groups[0].values[0], ExpectedSum());
@@ -102,14 +102,14 @@ TEST_F(ScanOpsTest, BaselineScanComputesCorrectAggregate) {
 }
 
 TEST_F(ScanOpsTest, BaselineScanVisitsEveryPageOnce) {
-  auto cursor = MakeTableScan(Env(false), SumQuery());
+  auto cursor = MakeScanCursor(Env(false), SumQuery());
   Drive(cursor.get());
   EXPECT_EQ(cursor->metrics().pages_scanned, table_.num_pages);
   EXPECT_EQ(cursor->metrics().tuples_scanned, static_cast<uint64_t>(kRows));
 }
 
 TEST_F(ScanOpsTest, SharedScanAloneSameResult) {
-  auto cursor = MakeSharedScan(Env(true), SumQuery());
+  auto cursor = MakeScanCursor(Env(true), SumQuery());
   QueryOutput out = Drive(cursor.get());
   EXPECT_DOUBLE_EQ(out.groups[0].values[0], ExpectedSum());
   EXPECT_EQ(cursor->metrics().pages_scanned, table_.num_pages);
@@ -136,7 +136,7 @@ TEST_F(ScanOpsTest, SharedScanWrapAroundCoversWholeRange) {
   ASSERT_TRUE(
       ssm_->UpdateLocation(decoy->id, mid, table_.num_pages / 2, 1000).ok());
 
-  auto cursor = MakeSharedScan(Env(true), SumQuery());
+  auto cursor = MakeScanCursor(Env(true), SumQuery());
   QueryOutput out = Drive(cursor.get(), 2000);
   // Despite starting mid-table, the wrap-around covers every tuple exactly
   // once: the aggregate is identical.
@@ -149,7 +149,7 @@ TEST_F(ScanOpsTest, SharedScanWrapAroundCoversWholeRange) {
 TEST_F(ScanOpsTest, PredicateFiltersRows) {
   QuerySpec q = SumQuery();
   q.predicate.And("flag", CompareOp::kEq, Value::Char("E"));
-  auto cursor = MakeTableScan(Env(false), q);
+  auto cursor = MakeScanCursor(Env(false), q);
   QueryOutput out = Drive(cursor.get());
   EXPECT_DOUBLE_EQ(out.groups[0].values[1], kRows / 2);
   EXPECT_EQ(cursor->metrics().tuples_matched, static_cast<uint64_t>(kRows / 2));
@@ -160,7 +160,7 @@ TEST_F(ScanOpsTest, RangeScanCoversOnlyItsFraction) {
   QuerySpec q = SumQuery();
   q.range_start_frac = 0.5;
   q.range_end_frac = 1.0;
-  auto cursor = MakeTableScan(Env(false), q);
+  auto cursor = MakeScanCursor(Env(false), q);
   QueryOutput out = Drive(cursor.get());
   // Roughly half the rows, and they are the larger half (rows are loaded
   // in order), so the average value must exceed the global average.
@@ -172,7 +172,7 @@ TEST_F(ScanOpsTest, RangeScanCoversOnlyItsFraction) {
 }
 
 TEST_F(ScanOpsTest, StepReportsProgressAndCost) {
-  auto cursor = MakeTableScan(Env(false), SumQuery());
+  auto cursor = MakeScanCursor(Env(false), SumQuery());
   ASSERT_TRUE(cursor->Open(0).ok());
   bool done = false;
   auto elapsed = cursor->Step(0, &done);
@@ -183,7 +183,7 @@ TEST_F(ScanOpsTest, StepReportsProgressAndCost) {
 }
 
 TEST_F(ScanOpsTest, LifecycleErrors) {
-  auto cursor = MakeTableScan(Env(false), SumQuery());
+  auto cursor = MakeScanCursor(Env(false), SumQuery());
   bool done = false;
   // Step before Open.
   EXPECT_FALSE(cursor->Step(0, &done).ok());
@@ -197,11 +197,6 @@ TEST_F(ScanOpsTest, LifecycleErrors) {
   EXPECT_FALSE(cursor->Close(0).ok());  // Double close.
 }
 
-TEST_F(ScanOpsTest, SharedScanRequiresSsm) {
-  auto cursor = MakeSharedScan(Env(false), SumQuery());
-  EXPECT_EQ(cursor->Open(0).code(), Status::Code::kInvalidArgument);
-}
-
 TEST_F(ScanOpsTest, MetricsSplitIoAndCpu) {
   // A count-only query is cheap per tuple, so cold-cache I/O cannot be
   // fully overlapped and must show up as stall time.
@@ -209,7 +204,7 @@ TEST_F(ScanOpsTest, MetricsSplitIoAndCpu) {
   q.name = "cnt";
   q.table = "t";
   q.aggs.push_back(AggSpec{"cnt", AggOp::kCount, Expr::Const(0)});
-  auto cursor = MakeTableScan(Env(false), q);
+  auto cursor = MakeScanCursor(Env(false), q);
   Drive(cursor.get());
   const ScanMetrics& m = cursor->metrics();
   EXPECT_GT(m.cpu, 0u);
