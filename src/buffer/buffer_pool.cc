@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace scanshare::buffer {
 
@@ -72,13 +73,6 @@ StatusOr<FrameId> BufferPool::GetVictimFrame(sim::Micros now) {
   return victim;
 }
 
-Status BufferPool::InstallInto(FrameId frame, sim::PageId page,
-                               uint32_t initial_pins) {
-  SCANSHARE_ASSIGN_OR_RETURN(const uint8_t* src, disk_->PageData(page));
-  InstallFromBuffer(frame, page, src, initial_pins);
-  return Status::OK();
-}
-
 void BufferPool::InstallFromBuffer(FrameId frame, sim::PageId page,
                                    const uint8_t* src, uint32_t initial_pins) {
   Frame& f = frames_[frame];
@@ -113,10 +107,10 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
 
   // Miss: every resident page lies inside the translation array, so the
   // header already served all hits. Read the aligned prefetch extent
-  // containing `page`, clipped. Frames are secured *before* the disk is touched and the counters are
-  // only charged once the read succeeds, so a fetch that fails for lack of
-  // frames (or an injected read fault) leaves the statistics and the
-  // virtual disk exactly as it found them.
+  // containing `page`, clipped. Frames are secured *before* the disk is
+  // touched and the counters are only charged once the read succeeds, so a
+  // fetch that fails for lack of frames (or an injected read fault) leaves
+  // the statistics and the virtual disk exactly as it found them.
   const uint64_t extent = std::max<uint64_t>(1, options_.prefetch_extent_pages);
   sim::PageId first = page - (page % extent);
   sim::PageId end = first + extent;
@@ -156,71 +150,29 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
     return Status::ResourceExhausted("FetchPage: every frame is pinned");
   }
 
+  // One extent read, whatever its source: the attached push pipeline (a
+  // ready-queue pop when the pump issued the extent ahead of the scan, the
+  // identical charged read inline otherwise) or the disk directly.
+  io::ExtentRead ext;
   if (pipeline_ != nullptr) {
-    // Push path: the extent comes from the pipeline — a ready-queue pop
-    // when the pump issued it ahead of the scan, the identical charged
-    // read inline otherwise. Same counters, same error contract as the
-    // pull path below, except that a mid-extent media fault installs NO
-    // pages (the pull path installs a prefix; statuses are identical —
-    // DESIGN.md §15).
-    io::ExtentRead ext = pipeline_->Acquire(first, end - first, now);
-    if (!ext.charged) {
-      // Nothing was charged: frames go back, no counter moves.
-      ReturnFrames(acquired, 0);
-      SCANSHARE_AUDIT_OK(CheckInvariants());
-      return ext.bytes;
+    ext = pipeline_->Acquire(first, end - first, now);
+  } else {
+    StatusOr<sim::IoResult> io = disk_->ChargedRead(first, end - first, now);
+    ext.charged = io.ok();
+    if (io.ok()) {
+      ext.io = *io;
+    } else {
+      ext.bytes = io.status();
     }
-    ++stats_.logical_reads;
-    ++stats_.misses;
-    ++stats_.io_requests;
-    stats_.physical_pages += end - first;
-    if (ext.from_queue) ++stats_.prefetch_hits;
-    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolMiss, now, /*actor=*/0,
-                          page, end - first);
-    if (!ext.bytes.ok()) {
-      ReturnFrames(acquired, 0);
-      SCANSHARE_AUDIT_OK(CheckInvariants());
-      return ext.bytes;
-    }
-    // A prefetched read may have completed in the (virtual) past; the
-    // demanding scan stalls only for the remainder, never negatively
-    // (ChunkProcessor subtracts the issue time from complete_micros).
-    sim::IoResult charged = ext.io;
-    charged.complete_micros = std::max(charged.complete_micros, now);
-    charged.start_micros = std::min(charged.start_micros, charged.complete_micros);
-
-    const uint32_t page_bytes = disk_->page_size();
-    installing_ = true;
-    size_t next = 0;
-    InstallFromBuffer(acquired[next], page,
-                      ext.data.get() + (page - first) * page_bytes, 1);
-    ++next;
-    for (sim::PageId p = first; p < end && next < acquired.size(); ++p) {
-      if (p == page || IsResident(p)) continue;
-      InstallFromBuffer(acquired[next], p,
-                        ext.data.get() + (p - first) * page_bytes, 0);
-      ++next;
-    }
-    installing_ = false;
-    ReturnFrames(acquired, next);
-
-    FetchResult result;
-    result.data = frames_[acquired[0]].data;
-    result.hit = false;
-    result.io = charged;
-    SCANSHARE_AUDIT_OK(CheckInvariants());
-    return result;
   }
-
-  auto io = disk_->ChargedRead(first, end - first, now);
-  if (!io.ok()) {
+  if (!ext.charged) {
     // The device refused the read (e.g. injected fault) before charging
     // anything. Victims evicted during acquisition stay evicted — that is
     // cache-content loss, which the error-path contract permits — but
     // their frames go back to the free list, and no counter moved.
     ReturnFrames(acquired, 0);
     SCANSHARE_AUDIT_OK(CheckInvariants());
-    return io.status();
+    return ext.bytes;
   }
 
   // The physical read happened: charge it.
@@ -228,43 +180,62 @@ StatusOr<FetchResult> BufferPool::FetchSlow(sim::PageId page, sim::Micros now,
   ++stats_.misses;
   ++stats_.io_requests;
   stats_.physical_pages += end - first;
+  if (ext.from_queue) ++stats_.prefetch_hits;
   SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kPoolMiss, now, /*actor=*/0,
                         page, end - first);
 
-  installing_ = true;
-  size_t next = 0;
-  Status st = InstallInto(acquired[next], page, 1);
-  if (st.ok()) {
-    ++next;
-    for (sim::PageId p = first; p < end && next < acquired.size(); ++p) {
-      if (p == page || IsResident(p)) continue;
-      st = InstallInto(acquired[next], p, 0);
-      if (!st.ok()) break;
-      ++next;
+  // Resolve the bytes of every page this read installs — the demanded page
+  // into frame 0, then each uncached sibling while frames last — before
+  // installing any. A pipeline extent already holds them; a pull read
+  // copies from the page store, where a per-page media fault surfaces. A
+  // read that fails after its charge therefore keeps the charge but
+  // installs nothing, pins nothing, and returns every acquired frame.
+  const uint32_t page_bytes = disk_->page_size();
+  std::vector<std::pair<sim::PageId, const uint8_t*>> installs;
+  installs.reserve(acquired.size());
+  auto resolve = [&](sim::PageId p) -> Status {
+    if (ext.data != nullptr) {
+      installs.emplace_back(p, ext.data.get() + (p - first) * page_bytes);
+      return Status::OK();
     }
+    SCANSHARE_ASSIGN_OR_RETURN(const uint8_t* src, disk_->PageData(p));
+    installs.emplace_back(p, src);
+    return Status::OK();
+  };
+  Status st = ext.bytes;
+  if (st.ok()) st = resolve(page);
+  for (sim::PageId p = first;
+       st.ok() && p < end && installs.size() < acquired.size(); ++p) {
+    if (p == page || IsResident(p)) continue;
+    st = resolve(p);
   }
-  installing_ = false;
   if (!st.ok()) {
-    // A page image failed mid-extent. Pages already installed stay cached
-    // (they are valid), but the fetch as a whole failed, so the demanded
-    // page must not stay pinned — the caller never got a success to unpin
-    // — and every unused frame goes back to the free list.
-    if (next > 0) {
-      frames_[acquired[0]].pin_count = 0;
-      policy_->Unpin(acquired[0]);
-    }
-    ReturnFrames(acquired, next);
+    ReturnFrames(acquired, 0);
     SCANSHARE_AUDIT_OK(CheckInvariants());
     return st;
   }
+
+  installing_ = true;
+  for (size_t i = 0; i < installs.size(); ++i) {
+    InstallFromBuffer(acquired[i], installs[i].first, installs[i].second,
+                      /*initial_pins=*/i == 0 ? 1 : 0);
+  }
+  installing_ = false;
   // Frames acquired but not used (extent page evicted mid-acquisition by a
   // sibling eviction) go back to the free list.
-  ReturnFrames(acquired, next);
+  ReturnFrames(acquired, installs.size());
 
+  // A prefetched read may have completed in the (virtual) past; the
+  // demanding scan stalls only for the remainder, never negatively
+  // (ChunkProcessor subtracts the issue time from complete_micros). A pull
+  // read always starts at or after `now`, so this leaves it unchanged.
   FetchResult result;
   result.data = frames_[acquired[0]].data;
   result.hit = false;
-  result.io = *io;
+  result.io = ext.io;
+  result.io.complete_micros = std::max(result.io.complete_micros, now);
+  result.io.start_micros =
+      std::min(result.io.start_micros, result.io.complete_micros);
   SCANSHARE_AUDIT_OK(CheckInvariants());
   return result;
 }

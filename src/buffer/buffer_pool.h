@@ -60,6 +60,8 @@ struct BufferPoolStats {
   /// unsharded.
   uint64_t partitions = 1;
   uint64_t partitions_requested = 1;  ///< Count asked for before clamping.
+
+  bool operator==(const BufferPoolStats&) const = default;
 };
 
 /// A fixed-size page cache with explicit pin/unpin and release priorities.
@@ -96,10 +98,11 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// read counters and no disk time either, though victims evicted while
   /// securing frames stay evicted (counted in `evictions`; losing cache
   /// contents is permitted, losing frames is not). A fetch that fails
-  /// after the read (a per-page media fault during extent install) keeps
-  /// the I/O charge — the read physically happened — but still pins
-  /// nothing and never leaks frames. In all cases the pool remains in a
-  /// state where CheckInvariants() passes.
+  /// after the read (a per-page media fault in the extent) keeps the I/O
+  /// charge — the read physically happened — but installs nothing, pins
+  /// nothing and returns every acquired frame. The contract is the same
+  /// with or without an attached IoPipeline. In all cases the pool remains
+  /// in a state where CheckInvariants() passes.
   ///
   /// The hit path is resolved entirely in this header: one translation-array
   /// load plus pin bookkeeping. Everything else goes through the
@@ -150,8 +153,8 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// attached, FetchSlow routes every extent read through
   /// IoPipeline::Acquire — a ready-queue pop when the pump got there
   /// first, the identical charged read inline otherwise — instead of
-  /// calling DiskManager directly. Default (detached) keeps the legacy
-  /// pull path bit-identical.
+  /// calling DiskManager directly. Either way the miss charges the same
+  /// counters and installs through the same loop.
   void SetIoPipeline(io::IoPipeline* pipeline) { pipeline_ = pipeline; }
 
   /// Current pin count of a resident page (0 if resident-unpinned);
@@ -262,18 +265,12 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   /// stamps the eviction trace event.
   [[nodiscard]] StatusOr<FrameId> GetVictimFrame(sim::Micros now);
 
-  /// Installs `page` into `frame` with pin_count = initial_pins. Unpinned
-  /// (prefetched) pages enter the replacer at High priority: they are
-  /// about to be consumed by the fetching scan, making them the most
-  /// valuable pages in the pool until released with a scan-chosen hint.
-  /// On failure (media fault on the page image) the frame is untouched
-  /// and may be returned to the free list.
-  [[nodiscard]] Status InstallInto(FrameId frame, sim::PageId page, uint32_t initial_pins);
-
-  /// Install core shared by the pull path (bytes from DiskManager's page
-  /// images) and the push path (bytes from a pipeline extent buffer):
-  /// copies `src` (one page) into `frame` and registers the mapping.
-  /// Cannot fail — the bytes already exist.
+  /// Copies `src` (one page, from DiskManager's page store or a pipeline
+  /// extent buffer) into `frame` and registers `page` there with pin_count
+  /// = initial_pins. Unpinned (prefetched) pages enter the replacer at
+  /// High priority: they are about to be consumed by the fetching scan,
+  /// making them the most valuable pages in the pool until released with
+  /// a scan-chosen hint. Cannot fail — the bytes already exist.
   void InstallFromBuffer(FrameId frame, sim::PageId page, const uint8_t* src,
                          uint32_t initial_pins);
 
@@ -296,7 +293,7 @@ class BufferPool final : public PageSource, public io::ResidencyProbe {
   bool installing_ = false;            // Extent install in flight (assert guard).
   BufferPoolStats stats_;
   obs::Tracer* tracer_ = nullptr;      // Borrowed; wired per run by the engine.
-  io::IoPipeline* pipeline_ = nullptr; // Borrowed; null = legacy pull path.
+  io::IoPipeline* pipeline_ = nullptr; // Borrowed; null = read the disk directly.
 };
 
 }  // namespace scanshare::buffer

@@ -115,19 +115,6 @@ Status PartitionedBufferPool::FlushAll() {
   return Status::OK();
 }
 
-bool PartitionedBufferPool::IsPageCached(sim::PageId page) const {
-  const size_t p = PartitionOf(page);
-  MutexLock lock(*latches_[p]);
-  return pools_[p]->Contains(page);
-}
-
-void PartitionedBufferPool::SetIoPipeline(io::IoPipeline* pipeline) {
-  for (size_t i = 0; i < pools_.size(); ++i) {
-    MutexLock lock(*latches_[i]);
-    pools_[i]->SetIoPipeline(pipeline);
-  }
-}
-
 void PartitionedBufferPool::SetTracer(obs::Tracer* tracer) {
   for (size_t i = 0; i < pools_.size(); ++i) {
     MutexLock lock(*latches_[i]);

@@ -6,7 +6,8 @@
 // partition and one latch acquisition covers it. Each partition owns a
 // private replacer, free list, and translation array; the only cross-
 // partition state is the shared DiskManager, whose charged-read path takes
-// its own internal lock.
+// its own internal lock. Shards always read the disk directly: no push I/O
+// pipeline is attached here (RunQueryParallel rejects RunConfig::io).
 //
 // partitions=1 degenerates to exactly one unlatched-in-behaviour BufferPool
 // holding every frame — the virtual-time simulator's semantics, preserved
@@ -48,8 +49,7 @@ struct PartitionedBufferPoolOptions {
 };
 
 /// N latched BufferPool shards behind the PageSource interface.
-class PartitionedBufferPool final : public PageSource,
-                                    public io::ResidencyProbe {
+class PartitionedBufferPool final : public PageSource {
  public:
   /// Creates the shards over `disk_manager`; `policy_factory` is invoked
   /// once per partition with that partition's frame count.
@@ -110,15 +110,6 @@ class PartitionedBufferPool final : public PageSource,
 
   /// Drops every unpinned page in every partition.
   [[nodiscard]] Status FlushAll();
-
-  /// io::ResidencyProbe: routes to the owning partition under its latch.
-  bool IsPageCached(sim::PageId page) const override;
-
-  /// Attaches the push I/O pipeline to every partition (or detaches with
-  /// nullptr). Note the pipeline's *pump* is only driven by the sequential
-  /// shared-mode executor; the morsel-parallel driver leaves it idle, so
-  /// parallel runs see sync fallthrough reads only (DESIGN.md §15).
-  void SetIoPipeline(io::IoPipeline* pipeline);
 
   /// Attaches a borrowed tracer to every partition. With concurrent
   /// workers the tracer must be in concurrent mode (TraceOptions::

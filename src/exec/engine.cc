@@ -109,11 +109,9 @@ StatusOr<RunResult> Database::Run(const RunConfig& config,
   std::unique_ptr<io::Prefetcher> prefetcher;
   if (WantsIoPipeline(config.io)) {
     if (config.io.backend == IoOptions::Backend::kFile) {
-      io::FileBackendOptions file_options;
-      file_options.path = config.io.file_path;
-      file_options.workers = config.io.file_workers;
       SCANSHARE_ASSIGN_OR_RETURN(
-          io_backend, io::FileIoBackend::Open(&disk_manager_, file_options));
+          io_backend,
+          io::FileIoBackend::Open(&disk_manager_, {config.io.file_path}));
     } else {
       io_backend = std::make_unique<io::SimIoBackend>(&disk_manager_);
     }

@@ -62,9 +62,6 @@ struct IoOptions {
   /// Table-image path for Backend::kFile (see io::FileIoBackend::Open;
   /// write one with io::FileIoBackend::WriteTableFile).
   std::string file_path;
-
-  /// pread worker threads for Backend::kFile.
-  size_t file_workers = 2;
 };
 
 /// Everything that varies between experiment runs.

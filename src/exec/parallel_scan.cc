@@ -163,6 +163,8 @@ StatusOr<ParallelQueryResult> RunQueryParallel(Database* db,
     SCANSHARE_RETURN_IF_ERROR(ssm->EndScan(scan_id, close_tick));
   }
   if (failed.load()) {
+    // A fault may fail the run, but it must not leave the pool inconsistent.
+    SCANSHARE_RETURN_IF_ERROR(pool.CheckInvariants());
     // Workers are joined; the lock is uncontended and only held so the
     // guarded status is read with its capability.
     MutexLock lock(error_mu);

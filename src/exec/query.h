@@ -95,6 +95,8 @@ struct ScanMetrics {
 
   /// Total virtual time attributed to this scan.
   sim::Micros Elapsed() const { return end_time - start_time; }
+
+  bool operator==(const ScanMetrics&) const = default;
 };
 
 }  // namespace scanshare::exec

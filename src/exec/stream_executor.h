@@ -42,6 +42,8 @@ struct StreamSpec {
 struct LocationSample {
   sim::Micros time = 0;
   sim::PageId position = 0;
+
+  bool operator==(const LocationSample&) const = default;
 };
 
 /// Outcome of one query execution.

@@ -6,8 +6,7 @@
 //   SimIoBackend   copies page images out of the in-memory DiskManager
 //                  store (default; every test and golden runs on it), and
 //   FileIoBackend  preads a real preallocated table file on a worker pool
-//                  (O_DIRECT when the filesystem allows it, io_uring when
-//                  the build found liburing).
+//                  (O_DIRECT when the filesystem allows it).
 //
 // Both backends charge *virtual* time identically through
 // DiskManager::ChargedRead, so the deterministic counters (reads, seeks,
@@ -76,7 +75,8 @@ struct RealIoStats {
   uint64_t bytes_read = 0;  ///< Bytes transferred.
   uint64_t seeks = 0;       ///< Non-successor offsets at submission.
   bool direct_io = false;   ///< File is open with O_DIRECT.
-  bool io_uring = false;    ///< Completions reaped via io_uring.
+
+  bool operator==(const RealIoStats&) const = default;
 };
 
 /// Abstract byte source for the push pipeline. Implementations are

@@ -19,9 +19,9 @@ namespace scanshare::io {
 
 /// Residency oracle the pipeline's pump consults before issuing a window
 /// extent, so already-cached extents cost no disk time. Implemented by
-/// BufferPool and PartitionedBufferPool. Called with no pipeline lock held
-/// (the probe may take pool partition latches, which order *before* the
-/// pipeline's mutex — common/lock_order.h).
+/// BufferPool. Called with no pipeline lock held (a probe may take pool
+/// latches, which order *before* the pipeline's mutex —
+/// common/lock_order.h).
 class ResidencyProbe {
  public:
   virtual ~ResidencyProbe() = default;
@@ -54,11 +54,13 @@ struct IoPipelineStats {
   /// the group just read — re-issuing it (once the pool evicts its pages)
   /// would be pure churn. See Prefetcher's consumed-history notes.
   uint64_t reissue_suppressed = 0;
+
+  bool operator==(const IoPipelineStats&) const = default;
 };
 
 /// One demand read answered by the pipeline. `charged` tells the pool
 /// whether the virtual-disk accounting happened (it charges its own
-/// counters only then — the legacy error contract); `bytes` is OK iff
+/// counters only then, as for a pull read); `bytes` is OK iff
 /// `data` holds the extent's bytes.
 struct ExtentRead {
   sim::PageId first = 0;

@@ -161,26 +161,12 @@ void Prefetcher::Pump(sim::Micros now) {
         ++reissue_suppressed;
         continue;
       }
-      ReadyExtent entry;
-      entry.count = e.count;
-      entry.table_id = e.table_id;
       ++stats_.submitted;
       SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoSubmit, now,
                             e.table_id, e.first, e.count);
-      StatusOr<sim::IoResult> charge = backend_->Charge(e.first, e.count, now);
-      if (!charge.ok()) {
-        // Nothing was charged (sim faults fail before accounting): park
-        // the error so the demanding scan surfaces it exactly where the
-        // pull path would have.
-        entry.bytes = charge.status();
-      } else {
-        entry.charged = true;
-        entry.io = charge.value();
-        entry.data = AllocateIoBuffer(e.count * backend_->page_size());
-        ReadToken token = kNoToken;
-        entry.bytes =
-            backend_->StartBytes(e.first, e.count, entry.data.get(), &token);
-        entry.token = token;
+      ReadyExtent entry = StartRead(e.first, e.count, now);
+      entry.table_id = e.table_id;
+      if (entry.charged) {
         // Emitted now with the completion's (possibly future) timestamp —
         // same pattern as throttle releases.
         SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoComplete,
@@ -204,46 +190,54 @@ void Prefetcher::RecordConsumed(sim::PageId first) {
   }
 }
 
+Prefetcher::ReadyExtent Prefetcher::StartRead(sim::PageId first,
+                                              uint64_t count,
+                                              sim::Micros now) {
+  ReadyExtent entry;
+  entry.count = count;
+  StatusOr<sim::IoResult> charge = backend_->Charge(first, count, now);
+  if (!charge.ok()) {
+    // Nothing was charged (sim faults fail before accounting): the error
+    // travels with the entry, so the demanding scan surfaces it exactly
+    // where the pull path would have.
+    entry.bytes = charge.status();
+    return entry;
+  }
+  entry.charged = true;
+  entry.io = charge.value();
+  entry.data = AllocateIoBuffer(count * backend_->page_size());
+  entry.bytes = backend_->StartBytes(first, count, entry.data.get(),
+                                     &entry.token);
+  return entry;
+}
+
 ExtentRead Prefetcher::Acquire(sim::PageId first, uint64_t count,
                                sim::Micros now) {
   MutexLock lock(mu_);
   RecordConsumed(first);
-  auto it = ready_.find(first);
-  if (it != ready_.end() && it->second.count == count) {
-    ReadyExtent entry = std::move(it->second);
-    ready_.erase(it);
-    ExtentRead out;
-    out.first = first;
-    out.count = count;
-    out.io = entry.io;
-    out.charged = entry.charged;
-    out.from_queue = true;
-    out.data = std::move(entry.data);
-    const Status join = backend_->Join(entry.token);
-    out.bytes = entry.bytes.ok() ? join : entry.bytes;
-    ++stats_.prefetch_hits;
-    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoPrefetchHit, now,
-                          entry.table_id, first, count);
-    return out;
-  }
-  // Sync fallback: the same charged read the pull path would have done —
-  // still through the backend, so push-file demand misses read real bytes.
-  ++stats_.sync_reads;
   ExtentRead out;
   out.first = first;
   out.count = count;
-  StatusOr<sim::IoResult> charge = backend_->Charge(first, count, now);
-  if (!charge.ok()) {
-    out.bytes = charge.status();
-    return out;
+  ReadyExtent entry;
+  auto it = ready_.find(first);
+  if (it != ready_.end() && it->second.count == count) {
+    entry = std::move(it->second);
+    ready_.erase(it);
+    out.from_queue = true;
+    ++stats_.prefetch_hits;
+    SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kIoPrefetchHit, now,
+                          entry.table_id, first, count);
+  } else {
+    // Sync fallback: the same charged read the pull path would have done —
+    // still through the backend, so push-file demand misses read real bytes.
+    ++stats_.sync_reads;
+    entry = StartRead(first, count, now);
   }
-  out.charged = true;
-  out.io = charge.value();
-  out.data = AllocateIoBuffer(count * backend_->page_size());
-  ReadToken token = kNoToken;
-  Status bytes = backend_->StartBytes(first, count, out.data.get(), &token);
-  if (bytes.ok()) bytes = backend_->Join(token);
-  out.bytes = bytes;
+  out.io = entry.io;
+  out.charged = entry.charged;
+  const Status join = backend_->Join(entry.token);
+  out.bytes = entry.bytes.ok() ? join : entry.bytes;
+  out.data = std::move(entry.data);
   return out;
 }
 

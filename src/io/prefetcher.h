@@ -194,6 +194,13 @@ class Prefetcher final : public IoPipeline {
 
   /// Records a demand-consumed extent key (caller holds mu_).
   void RecordConsumed(sim::PageId first) SCANSHARE_REQUIRES(mu_);
+
+  /// The one way an extent read is issued, by the pump and by Acquire's
+  /// sync fallback alike: charges [first, first + count) at `now`, then
+  /// allocates the buffer and starts the byte movement. A failed charge
+  /// leaves the entry uncharged with the error in `bytes`.
+  ReadyExtent StartRead(sim::PageId first, uint64_t count, sim::Micros now)
+      SCANSHARE_REQUIRES(mu_);
 };
 
 }  // namespace scanshare::io

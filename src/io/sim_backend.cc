@@ -11,7 +11,7 @@ Status SimIoBackend::StartBytes(sim::PageId first, uint64_t count,
   for (uint64_t i = 0; i < count; ++i) {
     // PageData is the media-fault injection point (DiskManager::
     // SetPageDataFaultRange): a fault mid-extent aborts the copy after the
-    // charge, mirroring where the legacy install path would fail.
+    // charge, mirroring where a pull-mode FetchSlow would fail.
     StatusOr<const uint8_t*> src = disk_->PageData(first + i);
     if (!src.ok()) return src.status();
     std::memcpy(dest + i * page_size, src.value(), page_size);

@@ -2,7 +2,7 @@
 //
 // SimIoBackend — the deterministic IoBackend over the in-memory
 // DiskManager page store. Byte movement is a synchronous memcpy from the
-// page images the legacy FetchSlow path reads via PageData(), so the push
+// page images a pull-mode FetchSlow reads via PageData(), so the push
 // pipeline on this backend sees exactly the data, the virtual-time
 // charges, and the injected faults (sim::DiskFaultOptions before the
 // charge, SetPageDataFaultRange after it) that the pull path sees.

@@ -86,41 +86,15 @@ bool BitIdentical(const exec::QueryOutput& a, const exec::QueryOutput& b,
 
 bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
                   std::string* first_diff) {
+  // Integer-only stats compare whole (defaulted operator==), so a field
+  // added to any of them is covered without touching this function.
   if (a.makespan != b.makespan) return Diff(first_diff, "makespan");
-
-  if (a.disk.requests != b.disk.requests ||
-      a.disk.pages_read != b.disk.pages_read ||
-      a.disk.bytes_read != b.disk.bytes_read || a.disk.seeks != b.disk.seeks ||
-      a.disk.busy_micros != b.disk.busy_micros ||
-      a.disk.queue_wait_micros != b.disk.queue_wait_micros) {
-    return Diff(first_diff, "disk");
-  }
-  if (a.buffer.logical_reads != b.buffer.logical_reads ||
-      a.buffer.hits != b.buffer.hits || a.buffer.misses != b.buffer.misses ||
-      a.buffer.physical_pages != b.buffer.physical_pages ||
-      a.buffer.io_requests != b.buffer.io_requests ||
-      a.buffer.evictions != b.buffer.evictions) {
-    return Diff(first_diff, "buffer");
-  }
-  if (a.ssm.scans_started != b.ssm.scans_started ||
-      a.ssm.scans_joined != b.ssm.scans_joined ||
-      a.ssm.scans_ended != b.ssm.scans_ended ||
-      a.ssm.updates != b.ssm.updates || a.ssm.regroups != b.ssm.regroups ||
-      a.ssm.throttle_events != b.ssm.throttle_events ||
-      a.ssm.total_wait != b.ssm.total_wait ||
-      a.ssm.cap_suppressions != b.ssm.cap_suppressions) {
-    return Diff(first_diff, "ssm");
-  }
-  if (a.ism.scans_started != b.ism.scans_started ||
-      a.ism.scans_joined != b.ism.scans_joined ||
-      a.ism.scans_ended != b.ism.scans_ended ||
-      a.ism.updates != b.ism.updates ||
-      a.ism.throttle_events != b.ism.throttle_events ||
-      a.ism.total_wait != b.ism.total_wait ||
-      a.ism.anchor_merges != b.ism.anchor_merges ||
-      a.ism.cap_suppressions != b.ism.cap_suppressions) {
-    return Diff(first_diff, "ism");
-  }
+  if (a.disk != b.disk) return Diff(first_diff, "disk");
+  if (a.buffer != b.buffer) return Diff(first_diff, "buffer");
+  if (a.ssm != b.ssm) return Diff(first_diff, "ssm");
+  if (a.ism != b.ism) return Diff(first_diff, "ism");
+  if (a.io != b.io) return Diff(first_diff, "io");
+  if (a.real_io != b.real_io) return Diff(first_diff, "real_io");
   if (!SeriesIdentical("reads_over_time", a.reads_over_time, b.reads_over_time,
                        first_diff) ||
       !SeriesIdentical("seeks_over_time", a.seeks_over_time, b.seeks_over_time,
@@ -147,31 +121,15 @@ bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
           qa.index != qb.index) {
         return Diff(first_diff, At("query.id", s, q));
       }
-      const exec::ScanMetrics& ma = qa.metrics;
-      const exec::ScanMetrics& mb = qb.metrics;
-      if (ma.start_time != mb.start_time || ma.end_time != mb.end_time ||
-          ma.pages_scanned != mb.pages_scanned ||
-          ma.tuples_scanned != mb.tuples_scanned ||
-          ma.tuples_matched != mb.tuples_matched ||
-          ma.buffer_hits != mb.buffer_hits ||
-          ma.buffer_misses != mb.buffer_misses || ma.cpu != mb.cpu ||
-          ma.io_stall != mb.io_stall ||
-          ma.throttle_wait != mb.throttle_wait ||
-          ma.overhead != mb.overhead) {
+      if (qa.metrics != qb.metrics) {
         return Diff(first_diff, At("query.metrics", s, q));
       }
       if (!OutputIdentical(qa.output, qb.output, At("query", s, q),
                            first_diff)) {
         return false;
       }
-      if (qa.trace.size() != qb.trace.size()) {
-        return Diff(first_diff, At("query.trace.size", s, q));
-      }
-      for (size_t t = 0; t < qa.trace.size(); ++t) {
-        if (qa.trace[t].time != qb.trace[t].time ||
-            qa.trace[t].position != qb.trace[t].position) {
-          return Diff(first_diff, At("query.trace", s, q));
-        }
+      if (qa.trace != qb.trace) {
+        return Diff(first_diff, At("query.trace", s, q));
       }
     }
   }
@@ -188,11 +146,7 @@ bool BitIdentical(const exec::RunResult& a, const exec::RunResult& b,
     const std::vector<obs::TraceEvent>& eb = b.trace->events();
     if (ea.size() != eb.size()) return Diff(first_diff, "trace.size");
     for (size_t i = 0; i < ea.size(); ++i) {
-      if (ea[i].kind != eb[i].kind || ea[i].at != eb[i].at ||
-          ea[i].dur != eb[i].dur || ea[i].actor != eb[i].actor ||
-          ea[i].arg0 != eb[i].arg0 || ea[i].arg1 != eb[i].arg1) {
-        return Diff(first_diff, At("trace.event", i));
-      }
+      if (ea[i] != eb[i]) return Diff(first_diff, At("trace.event", i));
     }
   }
   return true;

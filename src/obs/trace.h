@@ -101,6 +101,8 @@ struct TraceEvent {
   uint64_t arg0 = 0;     ///< Kind-specific payload.
   uint64_t arg1 = 0;     ///< Kind-specific payload.
   EventKind kind = EventKind::kScanAdmit;
+
+  bool operator==(const TraceEvent&) const = default;
 };
 
 /// Per-run trace configuration (part of exec::RunConfig).

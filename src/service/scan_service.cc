@@ -138,9 +138,10 @@ StatusOr<ServiceResult> ScanService::Run(
     env->clock().AdvanceTo(s.ready_at);
     const sim::Micros now = env->clock().Now();
     bool done = false;
-    SCANSHARE_ASSIGN_OR_RETURN(const sim::Micros elapsed,
-                               s.cursor->Step(now, &done));
+    StatusOr<sim::Micros> step = s.cursor->Step(now, &done);
     ++result.steps;
+    // The audits below also follow a failed step: a fault may end the run,
+    // but it must not leave the pool or the SSM inconsistent.
 #ifdef SCANSHARE_AUDIT
     SCANSHARE_RETURN_IF_ERROR(pool.CheckInvariants());
     if (ssm != nullptr) SCANSHARE_RETURN_IF_ERROR(ssm->CheckInvariants());
@@ -151,6 +152,7 @@ StatusOr<ServiceResult> ScanService::Run(
       if (ssm != nullptr) SCANSHARE_RETURN_IF_ERROR(ssm->CheckInvariants());
       SCANSHARE_RETURN_IF_ERROR(admission.CheckInvariants());
     }
+    SCANSHARE_ASSIGN_OR_RETURN(const sim::Micros elapsed, std::move(step));
     s.ready_at = now + elapsed;
 
     if (!done) {

@@ -76,6 +76,8 @@ struct DiskStats {
     d.queue_wait_micros = queue_wait_micros - earlier.queue_wait_micros;
     return d;
   }
+
+  bool operator==(const DiskStats&) const = default;
 };
 
 /// Fault-injection configuration for the simulated device (tests only).

@@ -145,6 +145,8 @@ struct IsmStats {
   sim::Micros total_wait = 0;
   uint64_t anchor_merges = 0;
   uint64_t cap_suppressions = 0;
+
+  bool operator==(const IsmStats&) const = default;
 };
 
 /// Central registry + policies for shared block-index scans.

@@ -93,6 +93,8 @@ struct SsmStats {
   /// counts leader updates where the cap turned a wanted wait into 0;
   /// the two never count the same update.
   uint64_t cap_suppressions = 0;
+
+  bool operator==(const SsmStats&) const = default;
 };
 
 /// One group's read frontier as the push I/O pipeline consumes it

@@ -58,10 +58,10 @@ class DiskManager {
 
   /// Media-fault shim for the post-read copy path (tests only): PageData()
   /// returns Corruption for pages in [first, end), while ChargedRead over
-  /// the same range still succeeds. This is the only way to make the
-  /// buffer pool's InstallInto fail *mid-extent* — after the disk request
-  /// was charged but before every page of the extent is installed — so the
-  /// pool's partial-install error paths are reachable from tests.
+  /// the same range still succeeds. This is the only way to make an extent
+  /// read fail *mid-extent* — after the disk request was charged but before
+  /// any page of the extent is installed — so the pool's after-the-charge
+  /// error path is reachable from tests.
   /// MutablePageData (the bulk-load path) is unaffected.
   void SetPageDataFaultRange(sim::PageId first, sim::PageId end) {
     fault_first_ = first;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "buffer/page_guard.h"
+#include "io/prefetcher.h"
+#include "io/sim_backend.h"
 
 namespace scanshare::buffer {
 namespace {
@@ -425,52 +430,76 @@ TEST_F(BufferPoolTest, InjectedReadFaultChargesNothingAndLeaksNoFrames) {
 // Satellite S1: an extent install that fails midway (media fault on one
 // page image after the disk request was charged) must return every
 // acquired-but-unused frame — the original code leaked them.
-TEST_F(BufferPoolTest, MidExtentInstallFailureLeaksNoFrames) {
-  auto pool = MakePool(8, /*extent=*/4);
+// The miss path has one body for both extent sources — the disk directly
+// (pull) and a demand-only push pipeline (io::Prefetcher over
+// io::SimIoBackend) — and so one contract for a read that fails after its
+// charge: the charge stays, no page of the extent is installed or pinned,
+// and every acquired frame comes back.
+class ExtentFaultTest : public BufferPoolTest,
+                        public ::testing::WithParamInterface<bool> {
+ protected:
+  ExtentFaultTest() : backend_(&dm_) {}
+
+  /// An 8-frame pool with 4-page extents, reading through the push
+  /// pipeline when the parameter is true.
+  std::unique_ptr<BufferPool> MakeSourcedPool() {
+    auto pool = MakePool(8, /*extent=*/4);
+    if (GetParam()) {
+      io::PrefetchOptions options;
+      options.depth = 0;
+      prefetcher_ = std::make_unique<io::Prefetcher>(
+          &backend_, /*ssm=*/nullptr, pool.get(), /*extent_pages=*/4, options);
+      pool->SetIoPipeline(prefetcher_.get());
+    }
+    return pool;
+  }
+
+  /// A failed fetch of `page` left one charged miss, nothing of the
+  /// extent [first, first + 4) cached, and every frame pinnable.
+  void ExpectFailedReadLeftNothing(BufferPool* pool, sim::PageId first) {
+    EXPECT_GE(dm_.page_data_faults_injected(), 1u);
+    // The read physically happened, so its charge stays.
+    EXPECT_EQ(pool->stats().misses, 1u);
+    EXPECT_EQ(pool->stats().io_requests, 1u);
+    for (sim::PageId p = first; p < first + 4; ++p) {
+      EXPECT_FALSE(pool->Contains(p)) << "page " << p;
+    }
+    EXPECT_TRUE(pool->CheckInvariants().ok());
+
+    dm_.ClearPageDataFaults();
+    // No frame was leaked: all 8 frames can still be pinned at once.
+    for (sim::PageId p = 8; p < 16; ++p) {
+      ASSERT_TRUE(pool->FetchPage(p, 1000 + p).ok()) << "page " << p;
+    }
+    EXPECT_TRUE(pool->CheckInvariants().ok());
+  }
+
+  io::SimIoBackend backend_;
+  std::unique_ptr<io::Prefetcher> prefetcher_;
+};
+
+TEST_P(ExtentFaultTest, MidExtentInstallFailureLeaksNoFrames) {
+  auto pool = MakeSourcedPool();
   // Fetching page 0 reads extent [0, 4); pages 2-3 fail on the copy path.
   dm_.SetPageDataFaultRange(2, 4);
-
   auto failed = pool->FetchPage(0, 0);
   EXPECT_EQ(failed.status().code(), Status::Code::kCorruption);
-  EXPECT_GE(dm_.page_data_faults_injected(), 1u);
-  // The read physically happened, so its charge stays.
-  EXPECT_EQ(pool->stats().misses, 1u);
-  EXPECT_EQ(pool->stats().io_requests, 1u);
-  // The fetch failed: nothing may be left pinned.
-  for (sim::PageId p = 0; p < 4; ++p) {
-    if (pool->Contains(p)) {
-      auto pins = pool->PinCount(p);
-      ASSERT_TRUE(pins.ok());
-      EXPECT_EQ(*pins, 0u) << "page " << p;
-    }
-  }
-  EXPECT_TRUE(pool->CheckInvariants().ok());
-
-  dm_.ClearPageDataFaults();
-  // No frame was leaked: all 8 frames can still be pinned at once.
-  for (sim::PageId p = 8; p < 16; ++p) {
-    ASSERT_TRUE(pool->FetchPage(p, 1000 + p).ok()) << "page " << p;
-  }
-  EXPECT_TRUE(pool->CheckInvariants().ok());
+  ExpectFailedReadLeftNothing(pool.get(), 0);
 }
 
-// Same failure on the *demanded* page: the whole extent install aborts on
-// frame 0 and every acquired frame comes back.
-TEST_F(BufferPoolTest, DemandedPageInstallFailureLeaksNoFrames) {
-  auto pool = MakePool(8, /*extent=*/4);
+// Same failure on the *demanded* page.
+TEST_P(ExtentFaultTest, DemandedPageInstallFailureLeaksNoFrames) {
+  auto pool = MakeSourcedPool();
   dm_.SetPageDataFaultRange(5, 6);
-
   auto failed = pool->FetchPage(5, 0);
   EXPECT_EQ(failed.status().code(), Status::Code::kCorruption);
-  EXPECT_FALSE(pool->Contains(5));
-  EXPECT_TRUE(pool->CheckInvariants().ok());
-
-  dm_.ClearPageDataFaults();
-  for (sim::PageId p = 8; p < 16; ++p) {
-    ASSERT_TRUE(pool->FetchPage(p, 1000 + p).ok()) << "page " << p;
-  }
-  EXPECT_TRUE(pool->CheckInvariants().ok());
+  ExpectFailedReadLeftNothing(pool.get(), 4);
 }
+
+INSTANTIATE_TEST_SUITE_P(Sources, ExtentFaultTest, ::testing::Bool(),
+                         [](const auto& tpi) {
+                           return std::string(tpi.param ? "PushSim" : "Pull");
+                         });
 
 }  // namespace
 }  // namespace scanshare::buffer

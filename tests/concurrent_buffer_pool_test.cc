@@ -154,7 +154,7 @@ TEST_F(ConcurrentBufferPoolTest, ConcurrentFetchUnpinKeepsInvariants) {
 TEST_F(ConcurrentBufferPoolTest, ConcurrentEvictionPressure) {
   // A pool with barely more frames than partitions*2*extent: every fetch
   // beyond the first few evicts. The point is exercising GetVictimFrame /
-  // InstallInto / ReturnFrames under contention, not hit rates.
+  // InstallFromBuffer / ReturnFrames under contention, not hit rates.
   constexpr size_t kWorkers = 4;
   auto pool = MakePool(2, 16);
   ASSERT_EQ(pool->partitions(), 2u);

@@ -100,7 +100,6 @@ TEST(FileIoBackendTest, RoundTripAndSeekAccounting) {
 
   io::FileBackendOptions options;
   options.path = path;
-  options.workers = 2;
   auto opened = io::FileIoBackend::Open(db->disk_manager(), options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   io::FileIoBackend* backend = opened.value().get();
@@ -158,10 +157,7 @@ TEST(FileIoBackendTest, VirtualChargeIsBackendIndependent) {
   ASSERT_TRUE(opened.ok());
   const sim::DiskStats file_stats = run_charges(opened.value().get());
 
-  EXPECT_EQ(sim_stats.requests, file_stats.requests);
-  EXPECT_EQ(sim_stats.pages_read, file_stats.pages_read);
-  EXPECT_EQ(sim_stats.seeks, file_stats.seeks);
-  EXPECT_EQ(sim_stats.busy_micros, file_stats.busy_micros);
+  EXPECT_EQ(sim_stats, file_stats);
 }
 
 TEST(FileIoBackendTest, ChargeFaultParityWithSim) {

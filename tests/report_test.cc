@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace scanshare::metrics {
 namespace {
 
@@ -116,6 +118,34 @@ TEST(CsvTest, WritesTwoSeries) {
 TEST(CsvTest, UnwritablePathFails) {
   TimeSeries base(1), shared(1);
   EXPECT_FALSE(WriteTimeSeriesCsv("/nonexistent-dir/x.csv", base, shared).ok());
+}
+
+// Two runs that differ in one counter of any stat block are not
+// identical — pipeline, real-I/O and partition counters included.
+TEST(BitIdenticalTest, EveryStatCounterCounts) {
+  exec::RunResult base;
+  base.streams.resize(1);
+  base.streams[0].queries.push_back(MakeQuery("q", 0, 10, 5, 2, 1));
+  std::string diff;
+  EXPECT_TRUE(BitIdentical(base, base, &diff)) << diff;
+
+  struct Case {
+    const char* block;
+    void (*mutate)(exec::RunResult*);
+  };
+  const Case cases[] = {
+      {"io", [](exec::RunResult* r) { r->io.submitted = 1; }},
+      {"buffer", [](exec::RunResult* r) { r->buffer.prefetch_hits = 1; }},
+      {"buffer", [](exec::RunResult* r) { r->buffer.partitions_requested = 4; }},
+      {"real_io", [](exec::RunResult* r) { r->real_io.reads = 1; }},
+  };
+  for (const Case& c : cases) {
+    exec::RunResult changed = base;
+    c.mutate(&changed);
+    diff.clear();
+    EXPECT_FALSE(BitIdentical(base, changed, &diff)) << c.block;
+    EXPECT_EQ(diff, c.block);
+  }
 }
 
 // Regression (static-analysis sweep): a short write used to be dropped —

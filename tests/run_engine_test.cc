@@ -7,20 +7,24 @@
 //    they produce bit-identical answers and equal pool, disk and SSM
 //    counters — for a table scan and an MDC index scan, shared and
 //    baseline.
-//  * Fault reach: a traced run of every driver (Database::Run pull and
-//    push-sim, ScanService::Run, RunQueryParallel) with a device fault
-//    armed returns the injected Corruption, and leaves nothing behind: a
-//    clean rerun reproduces the clean run made before the fault bit for
-//    bit.
+//  * Fault reach: a traced run of every driver (Database::Run pull,
+//    push-sim and push-file, ScanService::Run, RunQueryParallel) with a
+//    device fault armed returns the injected Corruption, and leaves
+//    nothing behind: a clean rerun reproduces the clean run made before
+//    the fault bit for bit. Seeded random faults fail the service and the
+//    morsel-parallel driver with Corruption only, never with an audit's
+//    Internal.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/engine.h"
 #include "exec/parallel_scan.h"
+#include "io/file_backend.h"
 #include "metrics/report.h"
 #include "service/scan_service.h"
 #include "testutil.h"
@@ -191,20 +195,47 @@ TEST_F(DriverFaultTest, DatabaseRunPullAndPushSim) {
         &before, &after);
     std::string diff;
     EXPECT_TRUE(metrics::BitIdentical(before, after, &diff)) << diff;
-    EXPECT_EQ(before.io.submitted, after.io.submitted);
     if (depth > 0) {
       EXPECT_GT(before.io.submitted, 0u);
     }
   }
 }
 
-TEST_F(DriverFaultTest, ScanServiceRun) {
+TEST_F(DriverFaultTest, DatabaseRunPushFile) {
+  const std::string path = testing::TempDir() + "run_engine_push_file.tbl";
+  ASSERT_TRUE(
+      io::FileIoBackend::WriteTableFile(*db_->disk_manager(), path).ok());
+  const auto streams = testutil::StaggeredQ1Q6("lineitem", sim::Millis(50));
+  exec::RunResult before;
+  exec::RunResult after;
+  FaultThenRerun(
+      db_.get(),
+      [&](exec::RunConfig config) {
+        config.io.backend = exec::IoOptions::Backend::kFile;
+        config.io.file_path = path;
+        config.io.prefetch_depth = 4;
+        return db_->Run(config, streams);
+      },
+      &before, &after);
+  std::string diff;
+  EXPECT_TRUE(metrics::BitIdentical(before, after, &diff)) << diff;
+  EXPECT_GT(before.io.submitted, 0u);
+  EXPECT_EQ(before.real_io.pages_read, before.disk.pages_read);
+  std::remove(path.c_str());
+}
+
+service::ServiceOptions TwoTableService() {
   service::ServiceOptions options;
   options.workload.num_tables = 2;
   options.workload.mdc_every = 2;  // Table 0 is MDC: index scans too.
   options.workload.pages_per_table = 48;
   options.arrival.num_jobs = 12;
   options.arrival.rate_per_sec = 400.0;
+  return options;
+}
+
+TEST_F(DriverFaultTest, ScanServiceRun) {
+  const service::ServiceOptions options = TwoTableService();
   exec::Database db;
   auto tables = service::BuildServiceTables(db.catalog(), options.workload);
   ASSERT_TRUE(tables.ok()) << tables.status().ToString();
@@ -253,6 +284,59 @@ TEST_F(DriverFaultTest, RunQueryParallel) {
       << diff;
   EXPECT_EQ(before.metrics.pages_scanned, kPages);
   EXPECT_EQ(after.metrics.pages_scanned, kPages);
+}
+
+// Seeded random device faults (DiskFaultOptions::fail_rate) across many
+// reads of one run: whichever read fails, the run reports the injected
+// Corruption, and the pool and SSM audits that follow every step — the
+// failed one included — or, for the morsel-parallel driver, the failed
+// run's end, never turn it into an Internal.
+constexpr uint64_t kFaultSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8};
+
+void ArmRandomFaults(exec::Database* db, uint64_t seed) {
+  sim::DiskFaultOptions faults;
+  faults.fail_rate = 0.1;
+  faults.seed = seed;
+  db->env()->disk().SetFaults(faults);
+}
+
+TEST_F(DriverFaultTest, ScanServiceRandomFaultSweep) {
+  service::ServiceOptions options = TwoTableService();
+  options.run = Config();
+  options.audit_every_n_steps = 1;
+  exec::Database db;
+  auto tables = service::BuildServiceTables(db.catalog(), options.workload);
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  service::ScanService service(&db);
+  uint64_t failed_runs = 0;
+  for (const uint64_t seed : kFaultSeeds) {
+    ArmRandomFaults(&db, seed);
+    auto run = service.Run(options, *tables);
+    if (run.ok()) continue;
+    ++failed_runs;
+    EXPECT_EQ(run.status().code(), Status::Code::kCorruption)
+        << "seed " << seed << ": " << run.status().ToString();
+  }
+  db.env()->disk().ClearFaults();
+  EXPECT_GT(failed_runs, 0u);
+}
+
+TEST_F(DriverFaultTest, RunQueryParallelRandomFaultSweep) {
+  exec::ParallelScanOptions options;
+  options.jobs = 2;
+  uint64_t failed_runs = 0;
+  for (const uint64_t seed : kFaultSeeds) {
+    ArmRandomFaults(db_.get(), seed);
+    auto run = exec::RunQueryParallel(db_.get(), Config(),
+                                      workload::MakeQ6Like("lineitem"),
+                                      options);
+    if (run.ok()) continue;
+    ++failed_runs;
+    EXPECT_EQ(run.status().code(), Status::Code::kCorruption)
+        << "seed " << seed << ": " << run.status().ToString();
+  }
+  db_->env()->disk().ClearFaults();
+  EXPECT_GT(failed_runs, 0u);
 }
 
 }  // namespace
