@@ -138,10 +138,11 @@ run_service() {
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" --target \
     bench_a11_service service_scale_test arrival_determinism_test \
-    admission_golden_test
+    admission_golden_test run_engine_test stream_executor_test \
+    trace_golden_test
   ./build-asan/bench/bench_a11_service --smoke --json=service_smoke.json
   ctest --test-dir build-asan -j "$(nproc)" --output-on-failure -R \
-    '^(service_scale_test|arrival_determinism_test|admission_golden_test)$'
+    '^(service_scale_test|arrival_determinism_test|admission_golden_test|run_engine_test|stream_executor_test|trace_golden_test)$'
   echo "service: smoke bench + test layer passed under ASan"
 }
 

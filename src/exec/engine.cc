@@ -89,49 +89,40 @@ std::unique_ptr<buffer::ReplacementPolicy> RunEngine::MakeReplacer(
   return std::make_unique<buffer::LruReplacer>(num_frames);
 }
 
-StatusOr<RunResult> Database::Run(const RunConfig& config,
-                                  const std::vector<StreamSpec>& streams) {
-  RunEngine engine(&env_, config);
-  buffer::BufferPool pool(&disk_manager_,
-                          engine.MakeReplacer(config.buffer.num_frames),
-                          config.buffer);
-  obs::Tracer* tracer = engine.tracer().get();
-  pool.SetTracer(tracer);
-
-  // Push I/O pipeline (opt-in; the prefetch_depth==0 + kSim default leaves
-  // pipeline null and the pool on the legacy pull path, bit-identically).
-  // Destruction order matters: the prefetcher joins outstanding reads in
-  // its destructor, so it must die before the backend — both outlive the
-  // executor run below. The pool only dereferences its pipeline pointer
-  // inside FetchSlow, never at destruction, so pool-vs-prefetcher order is
-  // free.
-  std::unique_ptr<io::IoBackend> io_backend;
-  std::unique_ptr<io::Prefetcher> prefetcher;
+StatusOr<buffer::BufferPool*> RunEngine::MakePool(
+    storage::DiskManager* disk_manager, const RunConfig& config) {
+  pool_.emplace(disk_manager, MakeReplacer(config.buffer.num_frames),
+                config.buffer);
+  pool_->SetTracer(tracer_.get());
+  // Even at depth 0 (the sync-file arm) the pipeline routes every miss, so
+  // the backend counters reach RunResult::io / real_io.
   if (WantsIoPipeline(config.io)) {
     if (config.io.backend == IoOptions::Backend::kFile) {
       SCANSHARE_ASSIGN_OR_RETURN(
-          io_backend,
-          io::FileIoBackend::Open(&disk_manager_, {config.io.file_path}));
+          io_backend_,
+          io::FileIoBackend::Open(disk_manager, {config.io.file_path}));
     } else {
-      io_backend = std::make_unique<io::SimIoBackend>(&disk_manager_);
+      io_backend_ = std::make_unique<io::SimIoBackend>(disk_manager);
     }
-    io::PrefetchOptions prefetch_options;
-    prefetch_options.depth = config.io.prefetch_depth;
-    prefetch_options.queue_bound = config.io.queue_bound;
-    prefetcher = std::make_unique<io::Prefetcher>(
-        io_backend.get(), engine.ssm(), &pool,
-        config.buffer.prefetch_extent_pages, prefetch_options);
-    prefetcher->SetTracer(tracer);
-    pool.SetIoPipeline(prefetcher.get());
+    prefetcher_ = std::make_unique<io::Prefetcher>(
+        io_backend_.get(), ssm(), &*pool_, config.buffer.prefetch_extent_pages,
+        io::PrefetchOptions{.depth = config.io.prefetch_depth,
+                            .queue_bound = config.io.queue_bound});
+    prefetcher_->SetTracer(tracer_.get());
+    pool_->SetIoPipeline(prefetcher_.get());
   }
+  return &*pool_;
+}
 
-  StreamExecutor executor(&env_, &pool, &catalog_, engine.ssm(), engine.ism(),
+StatusOr<RunResult> Database::Run(const RunConfig& config,
+                                  const std::vector<StreamSpec>& streams) {
+  RunEngine engine(&env_, config);
+  SCANSHARE_ASSIGN_OR_RETURN(buffer::BufferPool * pool,
+                             engine.MakePool(&disk_manager_, config));
+  StreamExecutor executor(&env_, pool, &catalog_, engine.ssm(), engine.ism(),
                           config.cost, config.mode, KernelMode::kColumnar,
-                          tracer);
-  // Attach even when prefetch_depth is 0 (the sync-file arm): pumping a
-  // depth-0 window issues nothing, and the attachment is what routes the
-  // pipeline/backend counters into RunResult::io / RunResult::real_io.
-  if (prefetcher != nullptr) executor.SetIoPipeline(prefetcher.get());
+                          engine.tracer().get());
+  executor.SetIoPipeline(engine.prefetcher());
   SCANSHARE_ASSIGN_OR_RETURN(
       RunResult result,
       executor.Run(streams, config.series_bucket, config.record_traces));

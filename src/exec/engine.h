@@ -50,7 +50,7 @@ struct IoOptions {
 
   /// Extents of lookahead per scan group. 0 disables the push pipeline
   /// entirely (legacy demand-pull reads). In kShared mode with depth > 0
-  /// the run attaches a Prefetcher pumped by the executor; kBaseline runs
+  /// the run attaches a Prefetcher pumped by the ScanLoop; kBaseline runs
   /// get the demand-only pipeline (reads still flow through the backend,
   /// but nothing is issued ahead).
   uint64_t prefetch_depth = 0;
@@ -121,14 +121,14 @@ struct RunConfig {
 };
 
 /// True when `io` asks for anything but the default demand-pull path over
-/// the sim page store: a prefetch window or the file backend. Only
-/// Database::Run builds that pipeline; the other drivers reject it.
+/// the sim page store: a prefetch window or the file backend.
+/// RunEngine::MakePool builds that pipeline; RunQueryParallel rejects it.
 bool WantsIoPipeline(const IoOptions& io);
 
 /// The per-run engine every driver (Database::Run, service::ScanService::Run,
 /// RunQueryParallel) builds from: a cold clock and disk, the policy pair,
-/// the SSM and ISM, and the tracer. The drivers add only their pool and
-/// their loop.
+/// the SSM and ISM, and the tracer; for the sequential drivers also the
+/// pool and push pipeline (MakePool).
 class RunEngine {
  public:
   /// Resets `env`'s clock and disk, then builds the run's state from
@@ -154,6 +154,14 @@ class RunEngine {
   std::unique_ptr<buffer::ReplacementPolicy> MakeReplacer(
       size_t num_frames) const;
 
+  /// Builds the run's traced pool over MakeReplacer, with the push I/O
+  /// pipeline config.io asks for attached (backend plus Prefetcher).
+  [[nodiscard]] StatusOr<buffer::BufferPool*> MakePool(
+      storage::DiskManager* disk_manager, const RunConfig& config);
+
+  /// The run's prefetcher; null on the default pull path.
+  io::Prefetcher* prefetcher() { return prefetcher_.get(); }
+
   /// The run's scan-sharing managers; null in kBaseline mode.
   ssm::ScanSharingManager* ssm() { return ssm_ ? &*ssm_ : nullptr; }
   ssm::IndexScanSharingManager* ism() { return ism_ ? &*ism_ : nullptr; }
@@ -168,6 +176,10 @@ class RunEngine {
   std::optional<ssm::ScanSharingManager> ssm_;
   std::optional<ssm::IndexScanSharingManager> ism_;
   std::shared_ptr<obs::Tracer> tracer_;
+  // The prefetcher joins its reads through the backend: it dies first.
+  std::optional<buffer::BufferPool> pool_;
+  std::unique_ptr<io::IoBackend> io_backend_;
+  std::unique_ptr<io::Prefetcher> prefetcher_;
 };
 
 /// Owns the simulated machine and storage; executes runs.

@@ -1,15 +1,9 @@
 // Copyright (c) scanshare authors. Licensed under the Apache License 2.0.
 //
-// Binary min-heap of (ready_time, stream_index) events for the discrete-
-// event executor. Replaces the O(n) linear scan over all streams per step
-// with O(log n) pop/push, which is what lets staggered 5-stream runs and
-// 100-stream soak runs schedule at the same per-step cost.
-//
-// Ordering contract (must match the linear scan it replaced exactly):
-// the earliest ready time wins, and ties break toward the LOWEST stream
-// index. Every stream has at most one event in the heap at a time — the
-// executor pops a stream, advances it, and pushes it back with its new
-// ready time (or drops it when finished).
+// Binary min-heap of (ready_time, index) events: ScanLoop's actors and the
+// closed-loop arrival process's clients. Ordering contract (must match the
+// linear minimum scan it replaced exactly): the earliest time wins, ties
+// break toward the LOWEST index. Each index has at most one event queued.
 
 #pragma once
 
@@ -28,7 +22,7 @@ class EventHeap {
     size_t index = 0;
   };
 
-  /// Pre-sizes the backing store for `n` streams.
+  /// Pre-sizes the backing store for `n` events.
   void Reserve(size_t n) { events_.reserve(n); }
 
   /// Inserts an event. O(log n).
@@ -38,7 +32,7 @@ class EventHeap {
   }
 
   /// Removes and returns the minimum event. O(log n). Undefined on an
-  /// empty heap (the executor's loop guards on empty()).
+  /// empty heap.
   Event Pop() {
     const Event top = events_.front();
     events_.front() = events_.back();

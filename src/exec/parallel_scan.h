@@ -55,7 +55,10 @@ struct ParallelQueryResult {
   /// Merged worker counters. pages/tuples/matched are deterministic; the
   /// time-like fields (cpu, io_stall, end_time) are scheduling-dependent.
   ScanMetrics metrics;
-  /// Aggregated pool counters — NOT deterministic under concurrency.
+  /// Aggregated pool counters — NOT deterministic under concurrency. Nor
+  /// are the disk's counters after a jobs > 1 run: which worker takes a
+  /// cold miss, and so the seek count, depends on thread order. Read disk
+  /// counters from jobs = 1 runs (scanbench's parallel_fit does).
   buffer::BufferPoolStats buffer;
   /// SSM counters (zero in kBaseline mode, which bypasses the SSM).
   ssm::SsmStats ssm;

@@ -104,6 +104,7 @@ bool CompiledPredicate::Atom::Match(const uint8_t* tuple) const {
 
 void CompiledPredicate::MatchBatch(const uint8_t* const* tuples, size_t n,
                                    uint8_t* sel) const {
+  if (n == 0) return;  // An empty page: `sel` may be null.
   std::memset(sel, 1, n);
   for (const Atom& atom : atoms_) {
     switch (atom.type) {

@@ -1,10 +1,133 @@
 #include "exec/stream_executor.h"
 
 #include <algorithm>
-
-#include "exec/event_heap.h"
+#include <utility>
 
 namespace scanshare::exec {
+
+void ScanLoop::ScheduleOpen(size_t actor, sim::Micros at,
+                            const QuerySpec* query, uint64_t tag) {
+  if (actor >= actors_.size()) actors_.resize(actor + 1);
+  Actor& a = actors_[actor];
+  a.pending = query;
+  a.ready_at = at;
+  a.record.index = tag;
+  events_.Push(at, actor);
+}
+
+Status ScanLoop::Open(size_t actor, sim::Micros at, const QuerySpec& query,
+                      uint64_t tag) {
+  if (actor >= actors_.size()) actors_.resize(actor + 1);
+  Actor& a = actors_[actor];
+  SCANSHARE_ASSIGN_OR_RETURN(a.cursor,
+                             OpenScanCursor(*catalog_, scan_env_, query, at));
+  SCANSHARE_TRACE_EVENT(scan_env_.tracer, obs::EventKind::kQueryBegin, at,
+                        actor, /*arg0=*/tag);
+  a.record = QueryRecord{.name = query.name, .stream = actor, .index = tag};
+  a.ready_at = at;
+  events_.Push(at, actor);
+  return Status::OK();
+}
+
+StatusOr<RunResult> ScanLoop::Run(const Hooks& hooks,
+                                  sim::Micros series_bucket,
+                                  bool record_traces) {
+  RunResult result;
+  result.reads_over_time = TimeSeries(series_bucket);
+  result.seeks_over_time = TimeSeries(series_bucket);
+  const sim::Micros t0 = env_->clock().Now();
+  sim::Micros last_end = t0;
+  // Disk counters are snapshotted once per step, not per page.
+  sim::DiskStats last = env_->disk().stats();
+
+  // Event times are nondecreasing, so the clock stays monotonic.
+  while (true) {
+    if (next_arrival_.has_value() &&
+        (events_.empty() || *next_arrival_ <= events_.Peek().time)) {
+      env_->clock().AdvanceTo(*next_arrival_);
+      SCANSHARE_RETURN_IF_ERROR(hooks.arrival());
+      continue;
+    }
+    if (events_.empty()) break;
+
+    const size_t id = events_.Pop().index;
+    Actor& a = actors_[id];
+    env_->clock().AdvanceTo(a.ready_at);
+    const sim::Micros now = env_->clock().Now();
+    if (a.cursor == nullptr) {
+      // A scheduled open: stepping starts on the next pop (still at `now`).
+      SCANSHARE_RETURN_IF_ERROR(Open(id, now, *a.pending, a.record.index));
+      continue;
+    }
+
+    bool done = false;
+    StatusOr<sim::Micros> step = a.cursor->Step(now, &done);
+    ++steps_;
+    // A fault may end the run but must not leave the pool or the SSM
+    // inconsistent, so the failed step is audited too: after every step in
+    // SCANSHARE_AUDIT builds, every N steps when the driver asks.
+#ifndef SCANSHARE_AUDIT
+    if (audit_every_n_steps_ > 0 && steps_ % audit_every_n_steps_ == 0)
+#endif
+    {
+      SCANSHARE_RETURN_IF_ERROR(scan_env_.pool->CheckInvariants());
+      if (scan_env_.ssm != nullptr) {
+        SCANSHARE_RETURN_IF_ERROR(scan_env_.ssm->CheckInvariants());
+      }
+    }
+    SCANSHARE_ASSIGN_OR_RETURN(const sim::Micros elapsed, std::move(step));
+    a.ready_at = now + elapsed;
+    if (record_traces) {
+      a.record.trace.push_back(LocationSample{a.ready_at, a.cursor->position()});
+    }
+
+    // The only pump site, so push runs are a pure function of the event
+    // schedule. Pumping before the series snapshot below folds prefetch
+    // I/O into the stepping actor's time bucket.
+    if (prefetcher_ != nullptr) prefetcher_->Pump(a.ready_at);
+
+    const sim::DiskStats& ds = env_->disk().stats();
+    const sim::DiskStats delta = ds.Since(last);
+    if (delta.pages_read > 0) {
+      result.reads_over_time.Add(a.ready_at - t0,
+                                 static_cast<double>(delta.pages_read));
+    }
+    if (delta.seeks > 0) {
+      result.seeks_over_time.Add(a.ready_at - t0,
+                                 static_cast<double>(delta.seeks));
+    }
+    last = ds;
+
+    if (!done) {
+      events_.Push(a.ready_at, id);
+      continue;
+    }
+
+    const sim::Micros end = a.ready_at;
+    SCANSHARE_ASSIGN_OR_RETURN(a.record.output, a.cursor->Close(end));
+    a.record.metrics = a.cursor->metrics();
+    // Stamped from the cursor's own clock: the span covers Open→Close.
+    const ScanMetrics& m = a.record.metrics;
+    SCANSHARE_TRACE_EVENT(scan_env_.tracer, obs::EventKind::kQueryEnd,
+                          m.start_time, id, /*arg0=*/a.record.index,
+                          /*arg1=*/0, m.end_time - m.start_time);
+    a.cursor.reset();
+    last_end = std::max(last_end, end);
+    // The hook may add actors, which can move `a`.
+    SCANSHARE_RETURN_IF_ERROR(hooks.close(end, std::move(a.record)));
+  }
+
+  result.makespan = last_end - t0;
+  result.disk = env_->disk().stats();
+  result.buffer = scan_env_.pool->stats();
+  if (scan_env_.ssm != nullptr) result.ssm = scan_env_.ssm->stats();
+  if (scan_env_.ism != nullptr) result.ism = scan_env_.ism->stats();
+  if (prefetcher_ != nullptr) {
+    result.io = prefetcher_->stats();
+    result.real_io = prefetcher_->backend().real_stats();
+  }
+  return result;
+}
 
 StreamExecutor::StreamExecutor(sim::Env* env, buffer::BufferPool* pool,
                                const storage::Catalog* catalog,
@@ -31,148 +154,40 @@ StatusOr<RunResult> StreamExecutor::Run(const std::vector<StreamSpec>& streams,
     return Status::InvalidArgument("StreamExecutor: no streams");
   }
 
-  struct StreamState {
-    size_t next_query = 0;
-    std::unique_ptr<ScanCursor> cursor;
-    sim::Micros ready_at = 0;
-    bool started = false;
-    std::vector<LocationSample> trace;
-  };
-
-  RunResult result;
-  result.streams.resize(streams.size());
-  result.reads_over_time = TimeSeries(series_bucket);
-  result.seeks_over_time = TimeSeries(series_bucket);
-
-  const sim::Micros t0 = env_->clock().Now();
-  std::vector<StreamState> states(streams.size());
-
-  // One event per unfinished stream, keyed on (ready_time, stream_index).
-  // Ties break toward the lowest stream index — the same selection order
-  // the linear minimum scan this heap replaced produced.
-  EventHeap events;
-  events.Reserve(streams.size());
-  for (size_t i = 0; i < streams.size(); ++i) {
-    states[i].ready_at = t0 + streams[i].start_delay;
-    if (!streams[i].queries.empty()) events.Push(states[i].ready_at, i);
-  }
-
-  // Every cursor sees the same engine; OpenScanCursor adds the table.
   const bool shared = mode_ == ScanMode::kShared;
-  ScanEnv scan_env;
-  scan_env.pool = pool_;
-  scan_env.cost = &cost_;
-  scan_env.disk_options = &env_->disk().options();
-  scan_env.ssm = shared ? ssm_ : nullptr;
-  scan_env.ism = shared ? ism_ : nullptr;
-  scan_env.tracer = tracer_;
+  ScanLoop loop(env_, catalog_,
+                ScanEnv{.pool = pool_,
+                        .cost = &cost_,
+                        .disk_options = &env_->disk().options(),
+                        .ssm = shared ? ssm_ : nullptr,
+                        .ism = shared ? ism_ : nullptr,
+                        .tracer = tracer_},
+                prefetcher_, /*audit_every_n_steps=*/0);
 
-  // Baselines for per-step (one extent chunk) delta-attribution into the
-  // time series: counters are snapshotted once per step, not per page.
-  sim::DiskStats last = env_->disk().stats();
-
-  while (!events.empty()) {
-    const size_t pick = events.Pop().index;
-    StreamState& s = states[pick];
-    env_->clock().AdvanceTo(s.ready_at);
-    const sim::Micros now = env_->clock().Now();
-
-    if (s.cursor == nullptr) {
-      // Open the next query of this stream.
-      SCANSHARE_ASSIGN_OR_RETURN(
-          s.cursor, OpenScanCursor(*catalog_, scan_env,
-                                   streams[pick].queries[s.next_query], now));
-      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kQueryBegin, now,
-                            /*actor=*/pick, /*arg0=*/s.next_query);
-      if (!s.started) {
-        result.streams[pick].start = now;
-        s.started = true;
-      }
-      // Stepping starts on the next pop (still at `now`).
-      events.Push(s.ready_at, pick);
-      continue;
-    }
-
-    bool done = false;
-    SCANSHARE_ASSIGN_OR_RETURN(sim::Micros elapsed, s.cursor->Step(now, &done));
-#ifdef SCANSHARE_AUDIT
-    // Audit builds re-verify the whole engine state after every executor
-    // step: a cursor bug that corrupts the pool or the SSM surfaces at the
-    // step that caused it, not at some later symptom. Violations propagate
-    // as Internal so tests can observe them.
-    SCANSHARE_RETURN_IF_ERROR(pool_->CheckInvariants());
-    if (ssm_ != nullptr) SCANSHARE_RETURN_IF_ERROR(ssm_->CheckInvariants());
-#endif
-    s.ready_at = now + elapsed;
-    if (record_traces) {
-      s.trace.push_back(LocationSample{s.ready_at, s.cursor->position()});
-    }
-
-    // Push pipeline: pump once per step, stamped at the step's finish time.
-    // This is the ONLY pump site — frontier order and virtual charge times
-    // are then a pure function of the event schedule, which keeps push-mode
-    // runs bit-reproducible. Pumping before the series snapshot below folds
-    // prefetch I/O into the stepping stream's time bucket.
-    if (prefetcher_ != nullptr) prefetcher_->Pump(s.ready_at);
-
-    // Attribute this step's physical I/O (at most one extent read plus
-    // queueing) to the time bucket it finished in — one batched update per
-    // step instead of per-page accounting.
-    const sim::DiskStats& ds = env_->disk().stats();
-    const sim::DiskStats delta = ds.Since(last);
-    if (delta.pages_read > 0) {
-      result.reads_over_time.Add(s.ready_at - t0,
-                                 static_cast<double>(delta.pages_read));
-    }
-    if (delta.seeks > 0) {
-      result.seeks_over_time.Add(s.ready_at - t0,
-                                 static_cast<double>(delta.seeks));
-    }
-    last = ds;
-
-    if (done) {
-      SCANSHARE_ASSIGN_OR_RETURN(QueryOutput output, s.cursor->Close(s.ready_at));
-      QueryRecord record;
-      const QuerySpec& spec = streams[pick].queries[s.next_query];
-      record.name = spec.name;
-      record.stream = pick;
-      record.index = s.next_query;
-      record.metrics = s.cursor->metrics();
-      // Whole-query span, stamped from the cursor's own clock so the span
-      // covers Open→Close even when steps straddled throttle waits.
-      SCANSHARE_TRACE_EVENT(tracer_, obs::EventKind::kQueryEnd,
-                            record.metrics.start_time, /*actor=*/pick,
-                            /*arg0=*/s.next_query, /*arg1=*/0,
-                            record.metrics.end_time - record.metrics.start_time);
-      record.output = std::move(output);
-      record.trace = std::move(s.trace);
-      s.trace.clear();
-      result.streams[pick].queries.push_back(std::move(record));
-      s.cursor.reset();
-
-      ++s.next_query;
-      if (s.next_query >= streams[pick].queries.size()) {
-        result.streams[pick].end = s.ready_at;
-        continue;  // Finished: the stream leaves the heap for good.
-      }
-      s.ready_at += streams[pick].inter_query_delay;
-    }
-    events.Push(s.ready_at, pick);
+  // A close records the query and schedules the stream's next open.
+  std::vector<StreamRecord> records(streams.size());
+  const sim::Micros t0 = env_->clock().Now();
+  for (size_t i = 0; i < streams.size(); ++i) {
+    if (streams[i].queries.empty()) continue;
+    records[i].start = t0 + streams[i].start_delay;
+    loop.ScheduleOpen(i, records[i].start, &streams[i].queries[0], 0);
   }
-
-  result.makespan = 0;
-  for (const StreamRecord& rec : result.streams) {
-    result.makespan = std::max(result.makespan, rec.end);
-  }
-  result.makespan = result.makespan > t0 ? result.makespan - t0 : 0;
-  result.disk = env_->disk().stats();
-  result.buffer = pool_->stats();
-  if (ssm_ != nullptr) result.ssm = ssm_->stats();
-  if (ism_ != nullptr) result.ism = ism_->stats();
-  if (prefetcher_ != nullptr) {
-    result.io = prefetcher_->stats();
-    result.real_io = prefetcher_->backend().real_stats();
-  }
+  ScanLoop::Hooks hooks;
+  hooks.close = [&](sim::Micros end, QueryRecord record) {
+    const size_t s = record.stream;
+    const size_t next = record.index + 1;
+    records[s].queries.push_back(std::move(record));
+    if (next < streams[s].queries.size()) {
+      loop.ScheduleOpen(s, end + streams[s].inter_query_delay,
+                        &streams[s].queries[next], next);
+    } else {
+      records[s].end = end;
+    }
+    return Status::OK();
+  };
+  SCANSHARE_ASSIGN_OR_RETURN(RunResult result,
+                             loop.Run(hooks, series_bucket, record_traces));
+  result.streams = std::move(records);
   return result;
 }
 

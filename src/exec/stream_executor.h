@@ -7,17 +7,21 @@
 // with an exactly reproducible discrete-event schedule while preserving
 // the phenomena under study: concurrent position drift, buffer-pool
 // competition, and disk queueing between streams.
+// StreamExecutor::Run and service::ScanService::Run both run on ScanLoop.
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "exec/event_heap.h"
 #include "exec/query.h"
 #include "exec/scan_ops.h"
 #include "io/prefetcher.h"
@@ -51,9 +55,9 @@ struct QueryRecord {
   std::string name;         ///< Template name from the QuerySpec.
   size_t stream = 0;        ///< Stream index.
   size_t index = 0;         ///< Position within the stream.
-  ScanMetrics metrics;      ///< Timing/counter breakdown.
-  QueryOutput output;       ///< Aggregate results (for correctness checks).
-  std::vector<LocationSample> trace;  ///< Filled iff trace recording is on.
+  ScanMetrics metrics{};    ///< Timing/counter breakdown.
+  QueryOutput output{};     ///< Aggregate results (for correctness checks).
+  std::vector<LocationSample> trace{};  ///< Filled iff trace recording is on.
 };
 
 /// Outcome of one stream.
@@ -104,6 +108,71 @@ enum class ScanMode {
   kShared,    ///< SharedScanOp through the Scan Sharing Manager.
 };
 
+/// The one virtual-time event loop under both sequential drivers; DESIGN.md
+/// §7.2 states its two tie rules. It owns all per-step work: the (time,
+/// actor) EventHeap, cursor open / Step / Close, the audits, the prefetcher
+/// pump, the reads/seeks series and the query spans. Driver hooks run per
+/// arrival and per close, never per step.
+class ScanLoop {
+ public:
+  struct Hooks {
+    /// Takes the arrival SetNextArrival announced (the clock is at it).
+    /// An arrival at t is taken before any heap event at t.
+    std::function<Status()> arrival;
+    /// `record` (stream = actor, index = tag) closed at `end`.
+    std::function<Status(sim::Micros end, QueryRecord record)> close;
+  };
+
+  /// Cursors open against `scan_env`, whose pool and managers are also the
+  /// ones audited and reported. `prefetcher` may be null (pull path).
+  /// `audit_every_n_steps` > 0 audits every N steps outside
+  /// SCANSHARE_AUDIT builds, which audit every step.
+  ScanLoop(sim::Env* env, const storage::Catalog* catalog,
+           const ScanEnv& scan_env, io::Prefetcher* prefetcher,
+           uint64_t audit_every_n_steps)
+      : env_(env), catalog_(catalog), scan_env_(scan_env),
+        prefetcher_(prefetcher), audit_every_n_steps_(audit_every_n_steps) {}
+
+  /// Schedules `actor`'s next query to open at `at`, and to step on the
+  /// pop after that. `query` must outlive the open; `tag` is the query's
+  /// kQueryBegin/kQueryEnd arg0.
+  void ScheduleOpen(size_t actor, sim::Micros at, const QuerySpec* query,
+                    uint64_t tag);
+
+  /// Opens `actor`'s cursor now, stamped `at`, and schedules its first step
+  /// at `at`.
+  [[nodiscard]] Status Open(size_t actor, sim::Micros at,
+                            const QuerySpec& query, uint64_t tag);
+
+  void SetNextArrival(std::optional<sim::Micros> at) { next_arrival_ = at; }
+
+  /// Runs until no arrival and no actor is pending; the result has all
+  /// but `streams` and `trace`.
+  [[nodiscard]] StatusOr<RunResult> Run(const Hooks& hooks,
+                                        sim::Micros series_bucket,
+                                        bool record_traces);
+
+  uint64_t steps() const { return steps_; }
+
+ private:
+  struct Actor {
+    std::unique_ptr<ScanCursor> cursor;  ///< Null between queries.
+    const QuerySpec* pending = nullptr;  ///< Set by ScheduleOpen.
+    sim::Micros ready_at = 0;
+    QueryRecord record;                  ///< Of the open (or pending) query.
+  };
+
+  sim::Env* env_;
+  const storage::Catalog* catalog_;
+  ScanEnv scan_env_;
+  io::Prefetcher* prefetcher_;
+  uint64_t audit_every_n_steps_;
+  std::vector<Actor> actors_;
+  EventHeap events_;
+  std::optional<sim::Micros> next_arrival_;
+  uint64_t steps_ = 0;
+};
+
 /// Drives a set of streams to completion over one buffer pool.
 class StreamExecutor {
  public:
@@ -127,11 +196,9 @@ class StreamExecutor {
                           sim::Micros series_bucket = sim::Seconds(1),
                           bool record_traces = false);
 
-  /// Attaches a borrowed push I/O prefetcher. The executor pumps it once
-  /// after every stream step (a fixed, deterministic schedule — the push
-  /// pipeline's determinism contract depends on pumping only here), and
-  /// folds its counters into RunResult::io / RunResult::real_io at the end
-  /// of the run. Null (the default) skips both.
+  /// Attaches a borrowed push I/O prefetcher: the run's ScanLoop pumps it
+  /// after every step and folds its counters into RunResult::io /
+  /// RunResult::real_io. Null (the default) skips both.
   void SetIoPipeline(io::Prefetcher* prefetcher) { prefetcher_ = prefetcher; }
 
  private:

@@ -10,8 +10,8 @@
 //   Pump(now)    poll SSM frontiers, drop stale ready extents, and issue
 //                missing window extents through the IoBackend (the
 //                deterministic virtual charge happens here, at submit
-//                time). The sequential executor pumps after every stream
-//                step — fixed deterministic points.
+//                time). exec::ScanLoop pumps after every cursor step —
+//                fixed deterministic points.
 //   Acquire(...) the demand side, called by BufferPool::FetchSlow after it
 //                secured frames: pops the matching ready extent (prefetch
 //                hit) or performs the same charged read inline (sync
@@ -19,7 +19,7 @@
 //                with the bytes and the virtual-time charge.
 //
 // Determinism: with the sim backend every charge is issued at a pump or
-// demand point fully determined by the executor's event order, and the
+// demand point fully determined by the ScanLoop's event order, and the
 // frontier walk is deterministic (tables ascending, groups in snapshot
 // order), so push-sim runs are bit-identical across repetitions. The file
 // backend only changes where bytes come from.

@@ -58,7 +58,7 @@ enum class EventKind : uint8_t {
   kDiskRead,          ///< Span: arg0 = first page, arg1 = page count.
   kDiskSeek,          ///< Head repositioned; arg0 = travel distance in pages.
   kDiskFault,         ///< Injected failure; arg0 = first page, arg1 = count.
-  // Executor (actor = stream index).
+  // ScanLoop (actor = stream index, or service job id with arg0 = table).
   kQueryBegin,        ///< Cursor opened; arg0 = query index in stream.
   kQueryEnd,          ///< Span over the whole query; arg0 = query index.
   // Push I/O pipeline (actor = table id; src/io/). Only emitted when a

@@ -266,7 +266,6 @@ std::optional<sim::Micros> ArrivalProcess::PeekTime() const {
 }
 
 JobArrival ArrivalProcess::Take() {
-  ++issued_;
   if (!closed_loop()) return schedule_[next_++];
   const exec::EventHeap::Event ev = pending_.Pop();
   return pending_jobs_[ev.index];

@@ -172,8 +172,6 @@ class ArrivalProcess {
   bool closed_loop() const {
     return spec_.kind == ArrivalKind::kClosedLoop;
   }
-  /// Arrivals handed out by Take() so far.
-  size_t issued() const { return issued_; }
 
  private:
   /// Samples the client's next think time and job, and parks it in
@@ -192,7 +190,6 @@ class ArrivalProcess {
   exec::EventHeap pending_;
   std::vector<JobArrival> pending_jobs_;
   size_t generated_ = 0;  ///< Arrivals created (schedule or pending).
-  size_t issued_ = 0;     ///< Arrivals consumed via Take().
 };
 
 /// The full open-loop arrival schedule for (arrival, workload, tables) —

@@ -7,26 +7,17 @@
 // decides per arrival whether a job runs, waits in the bounded queue, or
 // is shed. This is the regime the paper never evaluates (5 concurrent
 // streams) but a production scan service lives in: thousands of scans,
-// bursty arrivals, skewed table popularity (ROADMAP item 4).
+// bursty arrivals, skewed table popularity.
 //
-// Execution stays a single-threaded discrete-event simulation over the
-// virtual clock, sharing the executor's cursor machinery: each admitted
-// job is one single-query scan driven step-by-step (extent granularity),
-// interleaved with every other running job through one event heap. The
-// merge of arrivals and steps is deterministic:
-//   - among pending events, the earliest virtual time wins;
-//   - an arrival at time t is processed before any job step at t (the
-//     admission decision must see the pre-step state; document order for
-//     the trace goldens);
-//   - simultaneous job steps break toward the lowest job id (EventHeap).
-// Same options => bit-identical JobRecords, admission counters, traces
-// (arrival_determinism_test pins this across thread placements).
-//
-// Per run the service builds a fresh pool / SSM / ISM / tracer exactly
-// like Database::Run, so service runs compose with every PolicyKind and
-// both scan modes. The push I/O pipeline is not supported here (the
-// service exercises the demand-pull path; RunConfig::io must stay
-// default).
+// Execution is a single-threaded discrete-event simulation on the
+// executor's own loop (exec::ScanLoop): each admitted job is one
+// single-query scan stepped extent by extent among all running jobs. The
+// service supplies only the arrivals and what a completion does (release,
+// closed-loop feedback, queue drain). An arrival at t is admitted before
+// any step at t, so admission sees the pre-step state; simultaneous steps
+// break toward the lowest job id. Same options => bit-identical results
+// and traces (arrival_determinism_test). The engine, pool and push I/O
+// pipeline come from exec::RunEngine exactly as in Database::Run.
 
 #pragma once
 
@@ -52,13 +43,13 @@ struct ServiceOptions {
   ArrivalSpec arrival;
   WorkloadSpec workload;
   AdmissionOptions admission;
-  /// Engine configuration (mode, policy, buffer geometry, SSM knobs,
-  /// cost model, tracing). RunConfig::io must stay default (pull path).
+  /// Engine configuration, as for Database::Run (series_bucket and
+  /// record_traces are not reported).
   exec::RunConfig run;
-  /// When > 0, run the full pool + SSM invariant audit every N job steps
-  /// even outside SCANSHARE_AUDIT builds — the stress tests' "invariants
-  /// clean throughout" lever at a tolerable cost. 0 = audits only at the
-  /// end of the run (and per step in SCANSHARE_AUDIT builds).
+  /// When > 0, audit the pool + SSM every N job steps even outside
+  /// SCANSHARE_AUDIT builds, and admission at every arrival and completion
+  /// (the stress tests' lever). 0 = audits only at the end of the run (and
+  /// per step in SCANSHARE_AUDIT builds).
   uint64_t audit_every_n_steps = 0;
 };
 
@@ -74,8 +65,8 @@ struct JobRecord {
   bool from_queue = false;  ///< Waited in the admission queue first.
   sim::Micros admit_at = 0; ///< When it began running (!shed only).
   sim::Micros end = 0;      ///< Completion time (!shed only).
-  exec::ScanMetrics metrics;
-  exec::QueryOutput output;
+  exec::ScanMetrics metrics{};
+  exec::QueryOutput output{};
 
   /// Queue wait (admission - arrival); 0 for shed jobs.
   sim::Micros QueueWait() const { return shed ? 0 : admit_at - arrival; }
@@ -97,6 +88,8 @@ struct ServiceResult {
   ssm::IsmStats ism;
   /// Event trace (null unless options.run.trace.enabled).
   std::shared_ptr<const obs::Tracer> trace;
+  io::IoPipelineStats io;   ///< As RunResult::io.
+  io::RealIoStats real_io;  ///< As RunResult::real_io.
 };
 
 /// Drives service runs over a Database's storage. The Database provides

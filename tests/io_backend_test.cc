@@ -24,10 +24,6 @@ std::unique_ptr<exec::Database> MakeDb(uint64_t pages = 64) {
   return testutil::MakeLineitemDb(pages, /*seed=*/7);
 }
 
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
-}
-
 /// Reads [first, first+count) through the full three-step protocol and
 /// compares every page against the DiskManager's page store.
 void ExpectBackendBytesMatchStore(io::IoBackend* backend,
@@ -94,7 +90,8 @@ TEST(SimIoBackendTest, MediaFaultSurfacesAtStartBytesAfterCharge) {
 
 TEST(FileIoBackendTest, RoundTripAndSeekAccounting) {
   auto db = MakeDb();
-  const std::string path = TempPath("io_backend_roundtrip.tbl");
+  const testutil::ScopedTempFile image("io_backend_roundtrip.tbl");
+  const std::string& path = image.path();
   Status write = io::FileIoBackend::WriteTableFile(*db->disk_manager(), path);
   ASSERT_TRUE(write.ok()) << write.ToString();
 
@@ -121,7 +118,8 @@ TEST(FileIoBackendTest, RoundTripAndSeekAccounting) {
 
 TEST(FileIoBackendTest, OpenRejectsShortFile) {
   auto db = MakeDb();
-  const std::string path = TempPath("io_backend_short.tbl");
+  const testutil::ScopedTempFile image("io_backend_short.tbl");
+  const std::string& path = image.path();
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "not a table image";
@@ -137,7 +135,8 @@ TEST(FileIoBackendTest, VirtualChargeIsBackendIndependent) {
   // must produce identical virtual disk counters: backends differ only in
   // where bytes move (io_backend.h).
   auto db = MakeDb();
-  const std::string path = TempPath("io_backend_parity.tbl");
+  const testutil::ScopedTempFile image("io_backend_parity.tbl");
+  const std::string& path = image.path();
   ASSERT_TRUE(io::FileIoBackend::WriteTableFile(*db->disk_manager(), path).ok());
 
   const auto run_charges = [&](io::IoBackend* backend) {
@@ -165,7 +164,8 @@ TEST(FileIoBackendTest, ChargeFaultParityWithSim) {
   // the same status through either backend — fault injection lives below
   // the backend seam.
   auto db = MakeDb();
-  const std::string path = TempPath("io_backend_fault.tbl");
+  const testutil::ScopedTempFile image("io_backend_fault.tbl");
+  const std::string& path = image.path();
   ASSERT_TRUE(io::FileIoBackend::WriteTableFile(*db->disk_manager(), path).ok());
   io::FileBackendOptions options;
   options.path = path;

@@ -255,18 +255,12 @@ void ExpectSameOutputs(const exec::RunResult& a, const exec::RunResult& b) {
   for (size_t s = 0; s < a.streams.size(); ++s) {
     ASSERT_EQ(a.streams[s].queries.size(), b.streams[s].queries.size());
     for (size_t q = 0; q < a.streams[s].queries.size(); ++q) {
-      const exec::QueryOutput& ao = a.streams[s].queries[q].output;
-      const exec::QueryOutput& bo = b.streams[s].queries[q].output;
-      EXPECT_EQ(ao.rows_scanned, bo.rows_scanned) << "s" << s << " q" << q;
-      EXPECT_EQ(ao.rows_matched, bo.rows_matched) << "s" << s << " q" << q;
-      ASSERT_EQ(ao.groups.size(), bo.groups.size());
-      for (size_t g = 0; g < ao.groups.size(); ++g) {
-        EXPECT_EQ(ao.groups[g].key, bo.groups[g].key);
-        ASSERT_EQ(ao.groups[g].values.size(), bo.groups[g].values.size());
-        for (size_t v = 0; v < ao.groups[g].values.size(); ++v) {
-          EXPECT_DOUBLE_EQ(ao.groups[g].values[v], bo.groups[g].values[v]);
-        }
-      }
+      std::string label = "s";
+      label += std::to_string(s);
+      label += " q";
+      label += std::to_string(q);
+      testutil::ExpectSameOutput(a.streams[s].queries[q].output,
+                                 b.streams[s].queries[q].output, label);
     }
   }
 }

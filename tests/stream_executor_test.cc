@@ -180,6 +180,59 @@ TEST_F(StreamExecutorTest, BaselineHasNoSsmActivity) {
   EXPECT_EQ(result->ssm.updates, 0u);
 }
 
+// The stream tie rule: a stream's query opens on one pop and steps on the
+// next, and (t, stream) events break ties toward the lower stream index.
+// Two streams due at t0: stream 0 opens, is popped again ahead of stream
+// 1's open, and reads its first extent; only then does stream 1 open, and
+// its StartScan finds stream 0's first extent read and consumed. (An
+// arrival-first rule would open both before either stepped.)
+TEST_F(StreamExecutorTest, SimultaneousStreamsOpenAfterLowerStreamSteps) {
+  StreamSpec s;
+  s.queries.push_back(CountQuery());
+  RunConfig config = Config(ScanMode::kShared);
+  config.trace.enabled = true;
+  auto result = db_->Run(config, {s, s});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->trace, nullptr);
+  const auto& events = result->trace->events();
+
+  auto first = [&](obs::EventKind kind, auto pred) {
+    for (size_t i = 0; i < events.size(); ++i) {
+      if (events[i].kind == kind && pred(events[i])) return i;
+    }
+    return events.size();
+  };
+  const auto any = [](const obs::TraceEvent&) { return true; };
+  const size_t first_read = first(obs::EventKind::kDiskRead, any);
+  const size_t begin1 = first(obs::EventKind::kQueryBegin,
+                              [](const obs::TraceEvent& e) { return e.actor == 1; });
+  ASSERT_LT(first_read, events.size());
+  ASSERT_LT(begin1, events.size());
+  EXPECT_LT(first_read, begin1);
+  EXPECT_EQ(events[begin1].at, 0u);
+
+  // Stream 1's StartScan (its scan admit, emitted while the cursor opens)
+  // comes after stream 0 consumed its whole first extent.
+  size_t admit1 = begin1;
+  while (admit1 > 0 && events[admit1].kind != obs::EventKind::kScanAdmit) {
+    --admit1;
+  }
+  ASSERT_EQ(events[admit1].kind, obs::EventKind::kScanAdmit);
+  auto table = db_->catalog()->GetTable("lineitem");
+  ASSERT_TRUE(table.ok());
+  const sim::PageId start = (*table)->first_page;
+  for (sim::PageId p = start; p < start + 8; ++p) {
+    const size_t touched = first(
+        obs::EventKind::kPoolHit,
+        [&](const obs::TraceEvent& e) { return e.arg0 == p; });
+    const size_t missed = first(
+        obs::EventKind::kPoolMiss,
+        [&](const obs::TraceEvent& e) { return e.arg0 == p; });
+    EXPECT_LT(std::min(touched, missed), admit1) << "page " << p;
+  }
+  EXPECT_EQ(result->ssm.scans_joined, 1u);
+}
+
 TEST_F(StreamExecutorTest, MakespanIsMaxStreamEnd) {
   StreamSpec s1;
   s1.queries.push_back(CountQuery());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -55,6 +57,25 @@ std::vector<exec::StreamSpec> StaggeredQ1Q6(const std::string& table,
   streams[1].start_delay = stagger;
   return streams;
 }
+
+void ExpectSameOutput(const exec::QueryOutput& a, const exec::QueryOutput& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned) << label;
+  EXPECT_EQ(a.rows_matched, b.rows_matched) << label;
+  ASSERT_EQ(a.groups.size(), b.groups.size()) << label;
+  for (size_t g = 0; g < a.groups.size(); ++g) {
+    EXPECT_EQ(a.groups[g].key, b.groups[g].key) << label;
+    ASSERT_EQ(a.groups[g].values.size(), b.groups[g].values.size()) << label;
+    for (size_t v = 0; v < a.groups[g].values.size(); ++v) {
+      EXPECT_DOUBLE_EQ(a.groups[g].values[v], b.groups[g].values[v]) << label;
+    }
+  }
+}
+
+ScopedTempFile::ScopedTempFile(const std::string& name)
+    : path_(testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name) {}
+
+ScopedTempFile::~ScopedTempFile() { std::remove(path_.c_str()); }
 
 exec::QueryOutput InterpretQuery(exec::Database* db, exec::QuerySpec query,
                                  uint64_t extent_pages) {

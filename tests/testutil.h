@@ -54,6 +54,30 @@ std::vector<exec::StreamSpec> StaggeredQ1Q6(const std::string& table,
 exec::QueryOutput InterpretQuery(exec::Database* db, exec::QuerySpec query,
                                  uint64_t extent_pages = 16);
 
+/// The answer contract between runs whose scans may start at different
+/// positions (push vs pull, say): the same rows scanned and matched, the
+/// same group keys, and values equal to within EXPECT_DOUBLE_EQ — a
+/// different start page reorders the floating-point fold.
+void ExpectSameOutput(const exec::QueryOutput& a, const exec::QueryOutput& b,
+                      const std::string& label);
+
+/// A file path under testing::TempDir() that is unique to this process
+/// (`<pid>_<name>`, so concurrent suites never share an image) and is
+/// removed when the guard dies — after a failed assertion's early return
+/// too.
+class ScopedTempFile {
+ public:
+  explicit ScopedTempFile(const std::string& name);
+  ~ScopedTempFile();
+  ScopedTempFile(const ScopedTempFile&) = delete;
+  ScopedTempFile& operator=(const ScopedTempFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 // ---------------------------------------------------------------- threads
 
 /// Observes how many tasks were ever inside a region simultaneously.
